@@ -8,12 +8,22 @@ DNF strings join terms with ``|`` and the literals inside a term with
 ``^``; literals are signed integers, a lone signed integer is a unit term,
 and ``F`` denotes the empty DNF 0.  Clauses reuse the DNF form (a clause is
 a 1-DNF of unit terms).
+
+The line-based parsers report any malformed line as a FormatError naming
+its 1-based line number.
 """
 
 from __future__ import annotations
 
 from .errors import FormatError
 from .logic import Clause, CnfFormula, KDnfFormula, Term
+
+
+def _line_error(n: int, line: str, e: Exception) -> FormatError:
+    """The FormatError for line n, which raised e while being parsed."""
+    why = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+    return FormatError(f"line {n}: {why} in {line!r}")
+
 
 # ---------------------------------------------------------------------------
 # DNF / clause text
@@ -82,26 +92,29 @@ def cnf_from_dimacs(text: str):
     nvars = None
     declared = None
     cur = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("c"):
             comments.append(line[1:].strip())
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"bad problem line {line!r}")
-            nvars, declared = int(parts[2]), int(parts[3])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(Clause(cur))
-                cur = []
-            else:
-                cur.append(lit)
+        try:
+            if line.startswith("p"):
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise FormatError("bad problem line")
+                nvars, declared = int(parts[2]), int(parts[3])
+                continue
+            for tok in line.split():
+                lit = int(tok)
+                if lit == 0:
+                    clauses.append(Clause(cur))
+                    cur = []
+                else:
+                    cur.append(lit)
+        except (ValueError, FormatError) as e:
+            raise _line_error(n, line, e) from None
     if cur:
         raise FormatError("unterminated clause")
     if nvars is None:
@@ -120,8 +133,11 @@ def parse_substitution_comment(comments):
     for c in comments:
         parts = c.split()
         if parts and parts[0] == "substitution":
-            fields = dict(p.split("=", 1) for p in parts[1:])
-            return fields["f"], int(fields["d"]), int(fields["base_vars"])
+            try:
+                fields = dict(p.split("=", 1) for p in parts[1:])
+                return fields["f"], int(fields["d"]), int(fields["base_vars"])
+            except (ValueError, KeyError) as e:
+                raise FormatError(f"bad substitution comment {c!r}: {e}") from None
     return None
 
 
@@ -163,34 +179,37 @@ def derivation_from_text(text: str, formula: CnfFormula):
 
     header = None
     steps = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c "):
             continue
-        if line.startswith("p "):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "proof":
-                raise FormatError(f"bad proof header {line!r}")
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            header = (int(fields["k"]), fields["mode"])
-            continue
-        if header is None:
-            raise FormatError("step before proof header")
-        k = header[0]
-        if line.startswith("a "):
-            steps.append(AxiomDownload(clause_from_text(line[2:])))
-        elif line.startswith("e "):
-            steps.append(Erasure(int(line[2:])))
-        elif line.startswith("i "):
-            head, _, body = line[2:].partition(":")
-            toks = head.split()
-            if not toks or toks[0] not in RULE_NAMES:
-                raise FormatError(f"bad inference line {line!r}")
-            rule = toks[0]
-            premises = tuple(int(t) for t in toks[1:])
-            steps.append(Inference(dnf_from_text(body, k=k), rule, premises))
-        else:
-            raise FormatError(f"bad trace line {line!r}")
+        try:
+            if line.startswith("p "):
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "proof":
+                    raise FormatError("bad proof header")
+                fields = dict(p.split("=", 1) for p in parts[2:])
+                header = (int(fields["k"]), fields["mode"])
+                continue
+            if header is None:
+                raise FormatError("step before proof header")
+            k = header[0]
+            if line.startswith("a "):
+                steps.append(AxiomDownload(clause_from_text(line[2:])))
+            elif line.startswith("e "):
+                steps.append(Erasure(int(line[2:])))
+            elif line.startswith("i "):
+                head, _, body = line[2:].partition(":")
+                toks = head.split()
+                if not toks or toks[0] not in RULE_NAMES:
+                    raise FormatError("bad inference line")
+                rule = toks[0]
+                premises = tuple(int(t) for t in toks[1:])
+                steps.append(Inference(dnf_from_text(body, k=k), rule, premises))
+            else:
+                raise FormatError("bad trace line")
+        except (ValueError, KeyError, FormatError) as e:
+            raise _line_error(n, line, e) from None
     if header is None:
         raise FormatError("missing proof header")
     return Derivation(formula=formula, k=header[0], mode=header[1], steps=tuple(steps))
@@ -208,14 +227,17 @@ def pebbling_from_text(text: str):
     from .pebbling import MOVE_KINDS, Move
 
     moves = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if len(parts) != 2 or parts[0] not in MOVE_KINDS:
-            raise FormatError(f"bad move line {line!r}")
-        moves.append(Move(parts[0], int(parts[1])))
+        try:
+            if len(parts) != 2 or parts[0] not in MOVE_KINDS:
+                raise FormatError("bad move line")
+            moves.append(Move(parts[0], int(parts[1])))
+        except (ValueError, FormatError) as e:
+            raise _line_error(n, line, e) from None
     return tuple(moves)
 
 
@@ -230,21 +252,37 @@ def graph_to_text(dag) -> str:
 
 
 def graph_from_text(text: str):
-    from .graphs import Dag
+    """The graph of an edge list, validated: a cycle raises CycleError, a
+    second sink MultipleSinksError, an indegree above the bound
+    IndegreeExceededError.  The vertex count is the one on the ``c n=<n>``
+    line graph_to_text writes, or else the largest edge endpoint."""
+    from .graphs import Dag, validate_dag
 
     edges = []
+    declared = None
     mx = 0
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise FormatError(f"bad edge line {line!r}")
-        u, v = int(parts[1]), int(parts[2])
+        try:
+            if not parts:
+                continue
+            if parts[0] == "c":
+                if len(parts) > 1 and parts[1].startswith("n="):
+                    declared = int(parts[1][2:])
+                continue
+            if line.startswith("c"):
+                continue
+            if len(parts) != 3 or parts[0] != "e":
+                raise FormatError("bad edge line")
+            u, v = int(parts[1]), int(parts[2])
+        except (ValueError, FormatError) as e:
+            raise _line_error(n, line, e) from None
         edges.append((u, v))
         mx = max(mx, u, v)
-    return Dag(n=mx, edges=tuple(edges))
+    dag = Dag(n=mx if declared is None else declared, edges=tuple(edges))
+    validate_dag(dag)
+    return dag
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +298,23 @@ def kdnf_set_to_text(formulas, k: int) -> str:
 def kdnf_set_from_text(text: str):
     k = None
     formulas = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p "):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "kdnf":
-                raise FormatError(f"bad kdnf header {line!r}")
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            k = int(fields["k"])
-            continue
-        if k is None:
-            raise FormatError("formula before kdnf header")
-        formulas.append(dnf_from_text(line, k=k))
+        try:
+            if line.startswith("p "):
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "kdnf":
+                    raise FormatError("bad kdnf header")
+                fields = dict(p.split("=", 1) for p in parts[2:])
+                k = int(fields["k"])
+                continue
+            if k is None:
+                raise FormatError("formula before kdnf header")
+            formulas.append(dnf_from_text(line, k=k))
+        except (ValueError, KeyError, FormatError) as e:
+            raise _line_error(n, line, e) from None
     if k is None:
         raise FormatError("missing kdnf header")
     return formulas, k

@@ -7,17 +7,36 @@ subset of D implies "the disjunction of the f-values named by C" precisely:
 dropping any literal of C breaks the implication (subset mode).  Whole-set
 mode quantifies over D itself instead of its subsets.
 
-The subset-mode check avoids enumerating all subsets: a witness subset S
-exists if and only if one can pick, for every dropped literal, an
-assignment falsifying the reduced target such that the members satisfied by
-all picked assignments still imply the full target.  Only the maximal
-satisfied-member sets matter per dropped literal, so the search multiplies
-small antichains instead of walking the subset lattice.
+Base-point reduction.  Only the original variables whose blocks D mentions
+(its shadow, s variables) can occur in a projected clause, so one sweep
+over the 2^(d*s) assignments to those blocks decides everything.  The sweep
+records, per assignment, the members it satisfies and its f-image: the
+base point in {0,1}^s holding f's value on each block.  Every target
+"some literal of C has its f-value" depends on an assignment only through
+its f-image, so after the sweep the assignments can be forgotten and each
+base point keeps just the maximal sets of members its assignments satisfy.
+The reduction is exact: whether a subset S of D implies a target asks only
+whether some assignment satisfying S has an f-image falsifying the target,
+and a base point has such an assignment if and only if S lies inside one of
+its maximal sets.
+
+Whole-set mode then yields the prime implicates of the f-images of D's
+models: C is projected when no image falsifies C and, for each literal,
+some image falsifies C without it.  Each test is a lookup among at most
+2^s points.
+
+Subset mode avoids enumerating subsets: a witness subset S exists if and
+only if one can pick, for every literal l of C, a satisfied-member set at
+a base point falsifying C without l such that the members common to all
+picks still imply C.  A pick from a point falsifying C can never witness,
+so the picks for l come from points where l holds and the rest of C fails.
+Only maximal picks matter, so the search multiplies small antichains, and
+it stops extending a partial choice as soon as a point falsifying C has a
+satisfied-member set containing the members common so far.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,59 +75,51 @@ class Projector:
                 f"{len(base_vars)} base variables exceed projection cap"
             )
         self.base_vars = base_vars
+        self._table = np.asarray(f.table, dtype=np.int64)
 
     def _space(self, shadow_vars):
         """Assignment space over the blocks of the given original variables:
-        (ordered sub vars, bit lookup, assignment count)."""
+        (bit lookup, assignment count).  The block of shadow_vars[j] takes
+        bits d*j .. d*j+d-1, in block order."""
         sub_vars = [v for x in shadow_vars for v in self.varmap.block(x)]
         if len(sub_vars) > _SUB_VAR_CAP:
             raise CapExceededError(
                 f"{len(sub_vars)} substituted variables exceed projection cap"
             )
         bit = {v: i for i, v in enumerate(sub_vars)}
-        return sub_vars, bit, 1 << len(sub_vars)
+        return bit, 1 << len(sub_vars)
 
-    def _formula_mask(self, formula, bit, size):
-        a = np.arange(size, dtype=np.int64)
+    @staticmethod
+    def _formula_mask(formula, bit, a):
+        """Which assignments of ``a`` satisfy the formula."""
 
-        def lit_mask(lit):
-            col = (a >> bit[abs(lit)]) & 1
-            return col.astype(bool) if lit > 0 else ~col.astype(bool)
+        def pattern(lits):
+            pos = neg = 0
+            for l in lits:
+                if l > 0:
+                    pos |= 1 << bit[l]
+                else:
+                    neg |= 1 << bit[-l]
+            return pos, neg
 
         if isinstance(formula, Clause):
-            out = np.zeros(size, dtype=bool)
-            for l in formula.lits:
-                out |= lit_mask(l)
-            return out
+            pos, neg = pattern(formula.lits)
+            if pos & neg:  # a literal and its complement: a tautology
+                return np.ones(a.shape[0], dtype=bool)
+            return (a & (pos | neg)) != neg  # falsified exactly on one subcube
         if isinstance(formula, KDnfFormula):
-            out = np.zeros(size, dtype=bool)
+            out = np.zeros(a.shape[0], dtype=bool)
             for t in formula.terms:
-                tm = np.ones(size, dtype=bool)
-                for l in t.lits:
-                    tm &= lit_mask(l)
-                out |= tm
+                pos, neg = pattern(t.lits)
+                if not pos & neg:  # a contradictory term holds nowhere
+                    out |= (a & (pos | neg)) == pos
             return out
         raise InvalidInputError(f"cannot project {type(formula).__name__}")
-
-    def _f_value_mask(self, x, bit, size):
-        a = np.arange(size, dtype=np.int64)
-        idx = np.zeros(size, dtype=np.int64)
-        for j, v in enumerate(self.varmap.block(x)):
-            idx |= ((a >> bit[v]) & 1) << j
-        table = np.asarray(self.f.table, dtype=bool)
-        return table[idx]
-
-    def _target_mask(self, clause: Clause, fvals):
-        size = next(iter(fvals.values())).shape[0] if fvals else 1
-        out = np.zeros(size, dtype=bool)
-        for l in clause.lits:
-            out |= fvals[abs(l)] if l > 0 else ~fvals[abs(l)]
-        return out
 
     @staticmethod
     def _maximal(values):
         """Maximal elements of an iterable of bitmask ints."""
-        vals = sorted(set(values), key=lambda s: (bin(s).count("1"), s), reverse=True)
+        vals = sorted(set(values), key=int.bit_count, reverse=True)
         out = []
         for s in vals:
             if not any(s & keep == s for keep in out):
@@ -140,79 +151,91 @@ class Projector:
             )
             & set(self.base_vars)
         )
-        sub_vars, bit, size = self._space(shadow)
-        masks = [self._formula_mask(m, bit, size) for m in members]
-        fvals = {x: self._f_value_mask(x, bit, size) for x in shadow}
-        full_sat = np.ones(size, dtype=bool)
-        for m in masks:
-            full_sat &= m
+        bit, size = self._space(shadow)
 
-        # satisfied-member bitmask per assignment (subset mode only)
-        svec = None
+        # the one sweep: f-image and satisfied members of every assignment
+        a = np.arange(size, dtype=np.int64)
+        d = self.f.d
+        image = np.zeros(size, dtype=np.int64)
+        for j in range(len(shadow)):
+            image |= self._table[(a >> (d * j)) & ((1 << d) - 1)] << j
         if mode == "subset":
             svec = np.zeros(size, dtype=np.int64)
-            for i, m in enumerate(masks):
-                svec |= m.astype(np.int64) << i
+            for i, m in enumerate(members):
+                svec |= self._formula_mask(m, bit, a).astype(np.int64) << i
+            full = (1 << len(members)) - 1
+            order = np.lexsort((svec, image))
+            image, svec = image[order], svec[order]
+            fresh = np.ones(size, dtype=bool)
+            fresh[1:] = (image[1:] != image[:-1]) | (svec[1:] != svec[:-1])
+            by_point: dict[int, list] = {}
+            for p, sat in zip(image[fresh].tolist(), svec[fresh].tolist()):
+                by_point.setdefault(p, []).append(sat)
+            antichains = {p: self._maximal(sats) for p, sats in by_point.items()}
+            models = [p for p, sats in antichains.items() if sats[0] == full]
+        else:
+            sat = np.ones(size, dtype=bool)
+            for m in members:
+                sat &= self._formula_mask(m, bit, a)
+            models = np.unique(image[sat]).tolist()
 
-        sat_memo: dict[int, np.ndarray] = {}
-
-        def subset_sat(s):
-            if s in sat_memo:
-                return sat_memo[s]
-            out = np.ones(size, dtype=bool)
-            i = 0
-            while s >> i:
-                if (s >> i) & 1:
-                    out &= masks[i]
-                i += 1
-            sat_memo[s] = out
-            return out
-
+        # a clause C over the shadow variables is given by the bits V of
+        # its variables and the pattern q of the points falsifying it (bit j
+        # of q set: the literal on shadow[j] is negative)
         projected = []
-        for width in range(0, len(shadow) + 1):
-            for combo in itertools.combinations(shadow, width):
-                for signs in itertools.product((1, -1), repeat=width):
-                    c = Clause([s * x for s, x in zip(signs, combo)])
-                    target = (
-                        self._target_mask(c, fvals)
-                        if width
-                        else np.zeros(size, dtype=bool)
+        seen = []  # seen[V]: the f-images of D's models restricted to V
+        for V in range(1 << len(shadow)):
+            seen.append({p & V for p in models})
+            js = [j for j in range(len(shadow)) if V >> j & 1]
+            if mode == "subset":
+                # satisfied-member sets of the points agreeing with a pattern
+                # on V, made maximal when first picked from
+                groups: dict[int, list] = {}
+                for p, sats in antichains.items():
+                    groups.setdefault(p & V, []).extend(sats)
+                picks_at: dict[int, list] = {}
+            for q in _submasks(V):
+                if q in seen[V]:
+                    continue  # a model of D falsifies C
+                if mode == "subset":
+                    # picks for the literal on shadow[j]: the points where it
+                    # is the only literal of C that holds
+                    rs = [q ^ (1 << j) for j in js]
+                    ok = all(r in groups for r in rs)
+                    if ok:
+                        for r in rs:
+                            if r not in picks_at:
+                                picks_at[r] = self._maximal(groups[r])
+                        picks = [picks_at[r] for r in rs]
+                        ok = _witness(full, picks, groups.get(q, ()))
+                else:
+                    ok = all(q & ~(1 << j) in seen[V ^ (1 << j)] for j in js)
+                if ok:
+                    projected.append(
+                        Clause([-shadow[j] if q >> j & 1 else shadow[j] for j in js])
                     )
-                    if np.any(full_sat & ~target):
-                        continue  # not even the whole set implies the target
-                    if mode == "whole_set":
-                        ok = all(
-                            np.any(full_sat & ~self._target_mask(c.without(l), fvals))
-                            for l in c.lits
-                        )
-                        if ok:
-                            projected.append(c)
-                        continue
-                    if not c.lits:
-                        projected.append(c)  # some subset is unsatisfiable
-                        continue
-                    choice_sets = []
-                    feasible = True
-                    for l in c.lits:
-                        reduced = self._target_mask(c.without(l), fvals)
-                        cand = svec[~reduced]
-                        if cand.size == 0:
-                            feasible = False
-                            break
-                        choice_sets.append(self._maximal(cand.tolist()))
-                    if not feasible:
-                        continue
-                    found = False
-                    for picks in itertools.product(*choice_sets):
-                        s = picks[0]
-                        for p in picks[1:]:
-                            s &= p
-                        if not np.any(subset_sat(s) & ~target):
-                            found = True
-                            break
-                    if found:
-                        projected.append(c)
         return frozenset(projected)
+
+
+def _submasks(V):
+    """Every q with q & V == q, from V down to 0."""
+    q = V
+    while True:
+        yield q
+        if not q:
+            return
+        q = (q - 1) & V
+
+
+def _witness(s, picks, blockers):
+    """Whether the members ``s``, cut down by one set from each antichain in
+    ``picks``, can end up inside no set of ``blockers``.  Cutting down only
+    shrinks a set, so a branch stops once it is inside a blocker."""
+    if any(s & b == s for b in blockers):
+        return False
+    if not picks:
+        return True
+    return any(_witness(s & c, picks[1:], blockers) for c in picks[0])
 
 
 def project(formulas, base_formula: CnfFormula, f: BooleanFunction, mode="subset"):
@@ -251,7 +274,13 @@ def translate_refutation(
     side-clauses, and resolving away the literals of A outside the target.
     The output downloads at most one axiom per input download.
     """
-    log = replay(deriv)
+    return _translate_log(replay(deriv), base_formula, f)
+
+
+def _translate_log(
+    log, base_formula: CnfFormula, f: BooleanFunction
+) -> TranslationResult:
+    """translate_refutation on the replay log of its input."""
     if not log.refuted:
         raise InvalidInputError("input does not refute the substituted formula")
     axmap = _axiom_of(base_formula, f)
@@ -382,12 +411,11 @@ def extract_pebbling(
             f"{f.name} is authoritarian: the space bound does not transfer"
         )
     fm = pebbling_formula(dag, f)
+    input_log = replay(deriv)
     if f.name == "identity":
         base_deriv = deriv
-        input_log = replay(deriv)
     else:
-        input_log = replay(deriv)
-        base_deriv = translate_refutation(deriv, fm.base, f).derivation
+        base_deriv = _translate_log(input_log, fm.base, f).derivation
     frugal = make_frugal(eliminate_weakening(base_deriv))
     log = replay(frugal)
 

@@ -227,3 +227,30 @@ def test_project_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t=0 {}" in out
     assert "{0}" in out  # the final configurations project the empty clause
+
+
+def test_check_bad_dimacs_literal_is_a_format_error(tmp_path, capsys):
+    out = tmp_path / "peb"
+    run(["compile", "--graph", "path:2", "--f", "identity", "--out", str(out)])
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 2 1\n1 x 0\n")
+    assert run(["check", "--formula", str(cnf), "--proof", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [FORMAT]: line 2" in err
+    assert "Traceback" not in err
+
+
+def test_check_bad_erasure_id_is_a_format_error(tmp_path, capsys):
+    out = tmp_path / "peb"
+    run(["gen", "--graph", "path:2", "--f", "identity", "--out", str(out)])
+    proof = tmp_path / "p.proof"
+    run(["compile", "--graph", "path:2", "--f", "identity", "--out", str(proof)])
+    lines = proof.read_text().splitlines()
+    proof.write_text("\n".join(lines[:2] + ["e abc"] + lines[2:]) + "\n")
+    assert (
+        run(["check", "--formula", str(out.with_suffix(".cnf")), "--proof", str(proof)])
+        == 2
+    )
+    err = capsys.readouterr().err
+    assert "error [FORMAT]: line 3" in err
+    assert "Traceback" not in err

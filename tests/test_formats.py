@@ -1,11 +1,12 @@
 import pytest
 
-from resspace.errors import FormatError
+from resspace.errors import FormatError, InvalidParamError
 from resspace.formats import (
     clause_from_text,
     clause_to_text,
     cnf_from_dimacs,
     cnf_to_dimacs,
+    derivation_from_text,
     dnf_from_text,
     dnf_to_text,
     graph_from_text,
@@ -17,7 +18,7 @@ from resspace.formats import (
     pebbling_to_text,
     substitution_comment,
 )
-from resspace.graphs import pyramid_graph, validate_dag
+from resspace.graphs import path_graph, pyramid_graph, validate_dag
 from resspace.logic import Clause, CnfFormula, KDnfFormula, Term
 from resspace.pebbling import Move
 
@@ -82,11 +83,19 @@ def test_pebbling_trace_round_trip():
 
 
 def test_graph_round_trip():
-    g = pyramid_graph(2)
-    back = graph_from_text(graph_to_text(g))
-    assert back.n == g.n
-    assert sorted(back.edges) == sorted(g.edges)
-    validate_dag(back)
+    for g in (pyramid_graph(2), path_graph(1)):
+        back = graph_from_text(graph_to_text(g))
+        assert back.n == g.n
+        assert sorted(back.edges) == sorted(g.edges)
+        validate_dag(back)
+
+
+def test_graph_vertex_count_comes_from_the_n_line():
+    assert graph_from_text("c n=3 sink=3\ne 1 3\ne 2 3\n").n == 3
+    with pytest.raises(FormatError, match="^line 1: "):
+        graph_from_text("c n=x sink=3\ne 1 2\n")
+    with pytest.raises(InvalidParamError, match="out of range"):
+        graph_from_text("c n=2 sink=2\ne 1 2\ne 2 3\n")
 
 
 def test_kdnf_set_round_trip():
@@ -113,3 +122,47 @@ def test_proof_trace_golden_bytes():
     b.erase(x)
     text = derivation_to_text(b.build())
     assert text == "p proof k=1 mode=syntactic\na 1\na -1\ni cut 1 2 : F\ne 1\n"
+
+
+def _proof_from_text(text):
+    return derivation_from_text(text, CnfFormula([[1]]))
+
+
+PROOF_HEAD = "p proof k=1 mode=syntactic\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (cnf_from_dimacs, "p cnf 2 1\n1 x 0\n", 2),
+        (cnf_from_dimacs, "c note\np cnf two 1\n1 0\n", 2),
+        (pebbling_from_text, "pb 1\npb v\n", 2),
+        (graph_from_text, "e 1 2\ne 2 y\n", 2),
+        (kdnf_set_from_text, "p kdnf k=x m=1\n1\n", 1),
+        (kdnf_set_from_text, "p kdnf m=1 n=2\n1\n", 1),
+        (_proof_from_text, PROOF_HEAD + "a 1\ne abc\n", 3),
+        (_proof_from_text, PROOF_HEAD + "i cut 1 z : F\n", 2),
+        (_proof_from_text, PROOF_HEAD + "a 1^2\n", 2),
+        (_proof_from_text, "p proof mode=syntactic x=1\n", 1),
+        (_proof_from_text, "p proof k=1 modesyntactic\n", 1),
+    ],
+)
+def test_malformed_lines_are_format_errors_with_line_numbers(parse, text, line):
+    with pytest.raises(FormatError, match=f"^line {line}: "):
+        parse(text)
+
+
+def test_bad_substitution_comment_is_a_format_error():
+    with pytest.raises(FormatError):
+        parse_substitution_comment(["substitution f=xor d=two base_vars=3"])
+    with pytest.raises(FormatError):
+        parse_substitution_comment(["substitution f=xor base_vars=3"])
+
+
+def test_graph_file_is_validated():
+    from resspace.errors import CycleError
+
+    with pytest.raises(CycleError, match="self-loop"):
+        graph_from_text("e 1 1\n")
+    with pytest.raises(CycleError, match="cycle"):
+        graph_from_text("e 1 2\ne 2 3\ne 3 2\ne 3 4\n")

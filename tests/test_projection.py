@@ -432,3 +432,201 @@ def test_whole_set_projection_matches_definition():
                     ):
                         want.add(c)
         assert got == frozenset(want)
+
+
+# --- the base-point kernel against the definition ---------------------------
+
+
+def _projection_by_definition(config, f, mode):
+    """Projected clauses computed from the definition: truth tables over all
+    assignments to the blocks the configuration mentions, every subset of
+    the configuration (subset mode) or the configuration itself, and every
+    clause over the mentioned original variables."""
+    d = f.d
+    members = sorted(set(config))
+    shadow = sorted({(v - 1) // d + 1 for m in members for v in m.variables()})
+    subs = [d * (x - 1) + j for x in shadow for j in range(1, d + 1)]
+    size = 1 << len(subs)
+    everything = (1 << size) - 1
+    col = {
+        v: sum(1 << a for a in range(size) if a >> i & 1) for i, v in enumerate(subs)
+    }
+
+    def lit(l):
+        return col[l] if l > 0 else everything ^ col[-l]
+
+    def truth(m):
+        if isinstance(m, Clause):
+            out = 0
+            for l in m.lits:
+                out |= lit(l)
+            return out
+        out = 0
+        for t in m.terms:
+            tt = everything
+            for l in t.lits:
+                tt &= lit(l)
+            out |= tt
+        return out
+
+    def f_value(x, a):
+        block = [d * (x - 1) + j for j in range(1, d + 1)]
+        return f.table[sum((a >> subs.index(v) & 1) << j for j, v in enumerate(block))]
+
+    fval = {x: sum(1 << a for a in range(size) if f_value(x, a)) for x in shadow}
+
+    def target(lits):
+        out = 0
+        for l in lits:
+            out |= fval[l] if l > 0 else everything ^ fval[-l]
+        return out
+
+    tables = [truth(m) for m in members]
+    if mode == "subset":
+        sats = {everything}
+        for tt in tables:
+            sats |= {s & tt for s in sats}
+    else:
+        sats = {everything}
+        for tt in tables:
+            sats = {s & tt for s in sats}
+
+    out = set()
+    for width in range(len(shadow) + 1):
+        for combo in itertools.combinations(shadow, width):
+            for signs in itertools.product((1, -1), repeat=width):
+                c = tuple(s * x for s, x in zip(signs, combo))
+                goal = target(c)
+                weaker = [target(c[:i] + c[i + 1 :]) for i in range(width)]
+                if any(
+                    not sat & ~goal & everything
+                    and all(sat & ~w & everything for w in weaker)
+                    for sat in sats
+                ):
+                    out.add(Clause(c))
+    return frozenset(out)
+
+
+def test_definition_oracle_on_eq21():
+    assert _projection_by_definition(EQ21, XOR2, "subset") == {Clause([1, -2])}
+
+
+@pytest.mark.parametrize("mode", ["subset", "whole_set"])
+def test_tautological_member_projects_nothing_extra(mode):
+    """A tautology, which a weakening step may derive, holds everywhere."""
+    base = CnfFormula([[1]])
+    config = [Clause([1, -1, -2]), Clause([1, 2])]
+    got = project(config, base, XOR2, mode=mode)
+    assert got == project([Clause([1, 2])], base, XOR2, mode=mode)
+    assert got == _projection_by_definition(config, XOR2, mode)
+    assert Clause([1]) not in got
+
+
+ARITY_THREE = [
+    pytest.param("xor", id="xor3"),
+    pytest.param("maj", id="maj3"),
+]
+
+
+def _arity_three(name):
+    from resspace.boolfunc import majority_function
+
+    return xor_function(3) if name == "xor" else majority_function(3)
+
+
+@pytest.mark.parametrize("mode", ["subset", "whole_set"])
+@pytest.mark.parametrize("fname", ARITY_THREE)
+def test_projection_matches_definition_over_three_or_four_blocks(fname, mode):
+    """Seeded configurations over three or four original variables: the
+    substitutions of a few base clauses, cut down to 12-14 members when
+    larger, a stray clause over the blocks and a tautological clause, as a
+    weakening step may derive."""
+    import random
+
+    from resspace.boolfunc import substitute_clause
+
+    f = _arity_three(fname)
+    rng = random.Random(f"{fname} {mode}")
+    nonempty = tested = 0
+    for _ in range(16):
+        nbase = rng.choice((3, 4))
+        config = []
+        for _ in range(rng.randint(2, 3)):
+            vs = rng.sample(range(1, nbase + 1), rng.choice((1, 1, 1, 2)))
+            base_clause = Clause([v if rng.random() < 0.5 else -v for v in vs])
+            config += substitute_clause(base_clause, f)
+        config = rng.sample(config, min(len(config), rng.choice((12, 13, 14))))
+        stray = rng.sample(range(1, 3 * nbase + 1), 2)
+        config.append(Clause([v if rng.random() < 0.5 else -v for v in stray]))
+        v, w = rng.sample(range(1, 3 * nbase + 1), 2)
+        config.append(Clause([v, -v, w if rng.random() < 0.5 else -w]))
+        shadow = {(v - 1) // 3 + 1 for c in config for v in c.variables()}
+        if len(shadow) < 3:
+            continue
+        base = CnfFormula([[v] for v in range(1, nbase + 1)])
+        got = project(config, base, f, mode=mode)
+        assert got == _projection_by_definition(config, f, mode), config
+        nonempty += bool(got)
+        tested += 1
+    assert tested >= 8 and nonempty >= 4  # the sample exercises the kernel
+
+
+@pytest.mark.parametrize(
+    "graph, fname, widest",
+    [("pyramid:1", "maj", 3), ("path:3", "xor", 2), ("pyramid:2", "maj", 4)],
+    ids=["pyramid1-maj3", "path3-xor3", "pyramid2-maj3"],
+)
+def test_projection_matches_definition_on_compiled_configurations(
+    graph, fname, widest
+):
+    """Seeded configurations of compiled refutations: resolution ones in
+    subset mode, k-DNF ones (k = d) in whole-set mode."""
+    import random
+
+    from resspace.compilers import compile_pebbling_rk
+    from resspace.graphs import make_graph
+
+    f = _arity_three(fname)
+    family, _, param = graph.partition(":")
+    g = make_graph(family, int(param))
+    fm = pebbling_formula(g, f)
+    rng = random.Random(graph)
+
+    def shadow_size(cfg):
+        return len({(v - 1) // 3 + 1 for m in cfg for v in m.variables()})
+
+    seen = 0
+    for compiler, mode, max_lines in (
+        (compile_pebbling, "subset", 9),
+        (compile_pebbling_rk, "whole_set", 16),
+    ):
+        configs = sorted(
+            {
+                cfg
+                for cfg in replay(compiler(g, trivial_black_pebbling(g), f)).configs
+                if cfg and len(cfg) <= max_lines
+            },
+            key=lambda cfg: sorted(cfg),
+        )
+        most = max(shadow_size(c) for c in configs)
+        widest_configs = [c for c in configs if shadow_size(c) == most]
+        sample = rng.sample(configs, 6) + widest_configs[:2]
+        seen = max(seen, most)
+        for cfg in sample:
+            lines = list(cfg)
+            got = project(lines, fm.base, f, mode=mode)
+            assert got == _projection_by_definition(lines, f, mode), sorted(cfg)
+    assert seen == widest
+
+
+def test_projection_over_the_substituted_variable_cap_raises():
+    from resspace.errors import CapExceededError
+    from resspace.projection import _SUB_VAR_CAP
+
+    f = xor_function(3)
+    nbase = _SUB_VAR_CAP // 3 + 1
+    base = CnfFormula([[v] for v in range(1, nbase + 1)])
+    wide = Clause([3 * x for x in range(1, nbase + 1)])  # one variable per block
+    for mode in ("subset", "whole_set"):
+        with pytest.raises(CapExceededError):
+            project([wide], base, f, mode=mode)
