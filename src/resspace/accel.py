@@ -1,42 +1,21 @@
-"""Hot numeric kernels with numba-compiled and pure numpy/Python paths.
+"""Hot numeric kernels, each with one numpy/Python implementation.
 
 Three inner loops dominate the package's runtime: the brute-force
-implication oracle (2^n assignment sweeps), breadth-first search over
-black-pebbling configurations encoded as bit masks, and the DFS that
-enumerates irredundant subcube covers (minimally unsatisfiable CNFs).
-
-Each kernel has a numba ``@njit`` implementation and a fallback that uses
-numpy vectorization (or a plain loop where the algorithm is inherently
-sequential).  Set ``RESSPACE_NO_NUMBA=1`` to force the fallback path; both
-paths produce identical results, which ``benchmarks/bench_kernels.py``
-checks while timing one against the other.
+implication oracle (2^n assignment sweeps, vectorized over chunks of
+assignments), breadth-first search over black-pebbling configurations
+encoded as bit masks (vectorized over each BFS level), and the DFS that
+walks irredundant subcube covers (minimally unsatisfiable CNFs), a plain
+recursive search that both the cover enumeration and the cover scan visit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from .errors import CapExceededError
+
+# Always False (no kernel is compiled); the benchmark's run details record it.
 USING_NUMBA = False
-if not os.environ.get("RESSPACE_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if not USING_NUMBA:  # no-op decorator so the kernel bodies stay importable
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -60,45 +39,16 @@ def _flatten_side(side):
     )
 
 
-@njit(cache=True)
-def _side_sat_at(a, kinds, starts, pos, neg):
-    for i in range(kinds.shape[0]):
-        lo, hi = starts[i], starts[i + 1]
-        if kinds[i] == 0:  # CNF: every clause row must hold
-            for r in range(lo, hi):
-                if (a & pos[r]) == 0 and ((~a) & neg[r]) == 0:
-                    return False
-        else:  # DNF: some term row must hold
-            any_term = False
-            for r in range(lo, hi):
-                if (a & pos[r]) == pos[r] and (a & neg[r]) == 0:
-                    any_term = True
-                    break
-            if not any_term:
-                return False
-    return True
-
-
-@njit(cache=True)
-def _cx_kernel(nvars, pk, ps, pp, pn, ck, cs, cp, cn):
-    total = np.int64(1) << nvars
-    for a in range(total):
-        if not _side_sat_at(a, pk, ps, pp, pn):
-            continue
-        if not _side_sat_at(a, ck, cs, cp, cn):
-            return a
-    return np.int64(-1)
-
-
-def _side_sat_numpy(a, kinds, starts, pos, neg):
+def _side_sat(a, kinds, starts, pos, neg):
+    """Which of the assignment words ``a`` satisfy every formula of a side."""
     sat = np.ones(a.shape, dtype=bool)
     for i in range(kinds.shape[0]):
         lo, hi = starts[i], starts[i + 1]
-        if kinds[i] == 0:
+        if kinds[i] == 0:  # CNF: every clause row must hold
             f_ok = np.ones(a.shape, dtype=bool)
             for r in range(lo, hi):
                 f_ok &= ((a & pos[r]) != 0) | ((~a & neg[r]) != 0)
-        else:
+        else:  # DNF: some term row must hold
             f_ok = np.zeros(a.shape, dtype=bool)
             for r in range(lo, hi):
                 f_ok |= ((a & pos[r]) == pos[r]) & ((a & neg[r]) == 0)
@@ -106,31 +56,22 @@ def _side_sat_numpy(a, kinds, starts, pos, neg):
     return sat
 
 
-def _cx_numpy(nvars, pk, ps, pp, pn, ck, cs, cp, cn):
+def find_counterexample(nvars, prem_side, conc_side):
+    """First assignment (as a bit word) satisfying every premise formula but
+    not every conclusion formula, or None if no such assignment exists."""
+    prem = _flatten_side(prem_side)
+    conc = _flatten_side(conc_side)
     total = 1 << nvars
     chunk = min(total, 1 << 18)
     for base in range(0, total, chunk):
         a = np.arange(base, min(base + chunk, total), dtype=np.int64)
-        good = _side_sat_numpy(a, pk, ps, pp, pn)
+        good = _side_sat(a, *prem)
         if not good.any():
             continue
-        holds = _side_sat_numpy(a, ck, cs, cp, cn)
-        idx = np.flatnonzero(good & ~holds)
+        idx = np.flatnonzero(good & ~_side_sat(a, *conc))
         if idx.size:
             return int(a[idx[0]])
-    return -1
-
-
-def find_counterexample(nvars, prem_side, conc_side):
-    """First assignment (as a bit word) satisfying every premise formula but
-    not every conclusion formula, or None if no such assignment exists."""
-    pk, ps, pp, pn = _flatten_side(prem_side)
-    ck, cs, cp, cn = _flatten_side(conc_side)
-    if USING_NUMBA:
-        bits = int(_cx_kernel(nvars, pk, ps, pp, pn, ck, cs, cp, cn))
-    else:
-        bits = _cx_numpy(nvars, pk, ps, pp, pn, ck, cs, cp, cn)
-    return None if bits < 0 else bits
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -138,68 +79,9 @@ def find_counterexample(nvars, prem_side, conc_side):
 #
 # The BFS is level-synchronous and expands moves in a fixed order (place on
 # vertex 0..n-1, then remove from vertex 0..n-1), so discovery order -- and
-# with it the reconstructed witness -- is identical on both paths.
+# with it the reconstructed witness -- is deterministic.
 
 FOUND, EXHAUSTED, OVERFLOW = 0, 1, 2
-
-
-@njit(cache=True)
-def _black_bfs_kernel(n, preds, target, space_cap, state_cap):
-    size = np.int64(1) << n
-    visited = np.zeros((size + 63) >> 6, dtype=np.uint64)
-    states = np.empty(state_cap, dtype=np.int64)
-    parents = np.empty(state_cap, dtype=np.int64)
-    moves = np.empty(state_cap, dtype=np.int64)
-    states[0] = 0
-    parents[0] = -1
-    moves[0] = -1
-    visited[0] = np.uint64(1)
-    count = 1
-    lo, hi = 0, 1
-    while lo < hi:
-        for mv in range(2 * n):
-            place = mv < n
-            v = mv if place else mv - n
-            bit = np.int64(1) << v
-            for qi in range(lo, hi):
-                s = states[qi]
-                if place:
-                    if s & bit:
-                        continue
-                    if (s & preds[v]) != preds[v]:
-                        continue
-                    t = s | bit
-                    pc = 0
-                    x = t
-                    while x:
-                        x &= x - 1
-                        pc += 1
-                    if pc > space_cap:
-                        continue
-                else:
-                    if not (s & bit):
-                        continue
-                    t = s & ~bit
-                if (visited[t >> 6] >> np.uint64(t & 63)) & np.uint64(1):
-                    continue
-                if count >= state_cap:
-                    return OVERFLOW, states[:count], parents[:count], moves[:count], -1
-                visited[t >> 6] |= np.uint64(1) << np.uint64(t & 63)
-                states[count] = t
-                parents[count] = qi
-                moves[count] = mv
-                if t == target:
-                    return (
-                        FOUND,
-                        states[: count + 1],
-                        parents[: count + 1],
-                        moves[: count + 1],
-                        count,
-                    )
-                count += 1
-        lo, hi = hi, count
-    return EXHAUSTED, states[:count], parents[:count], moves[:count], -1
-
 
 _POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
 
@@ -213,9 +95,17 @@ def _popcount(arr):
     )
 
 
-def _black_bfs_numpy(n, preds, target, space_cap, state_cap):
-    size = 1 << n
-    visited = np.zeros(size, dtype=bool)
+def black_bfs(n, pred_masks, target, space_cap, state_cap):
+    """BFS from the empty configuration over configurations holding at most
+    ``space_cap`` pebbles.
+
+    Returns (status, states, parents, moves, target_index); the witness is
+    reconstructed by following parents back from target_index.  Move codes:
+    v places a black pebble on vertex v, n+v removes it.
+    """
+    preds = np.asarray(pred_masks, dtype=np.int64)
+    target = np.int64(target)
+    visited = np.zeros(1 << n, dtype=bool)
     states = np.empty(state_cap, dtype=np.int64)
     parents = np.empty(state_cap, dtype=np.int64)
     moves = np.empty(state_cap, dtype=np.int64)
@@ -262,33 +152,26 @@ def _black_bfs_numpy(n, preds, target, space_cap, state_cap):
     return EXHAUSTED, states[:count], parents[:count], moves[:count], -1
 
 
-def black_bfs(n, pred_masks, target, space_cap, state_cap):
-    """BFS from the empty configuration over configurations holding at most
-    ``space_cap`` pebbles.
-
-    Returns (status, states, parents, moves, target_index); the witness is
-    reconstructed by following parents back from target_index.  Move codes:
-    v places a black pebble on vertex v, n+v removes it.
-    """
-    preds = np.asarray(pred_masks, dtype=np.int64)
-    if USING_NUMBA:
-        return _black_bfs_kernel(n, preds, np.int64(target), space_cap, state_cap)
-    return _black_bfs_numpy(n, preds, np.int64(target), space_cap, state_cap)
-
-
 # ---------------------------------------------------------------------------
 # irredundant subcube covers (minimally unsatisfiable CNF enumeration)
 #
 # Covers of the point set {0,1}^v by subcubes such that every chosen cube
 # keeps a private point.  Branching: take the lowest uncovered point and try
 # each candidate cube covering it; a candidate already tried at a node is
-# forbidden throughout the sibling subtrees, so each cover is emitted once.
+# forbidden throughout the sibling subtrees, so each cover is visited once.
 # The private-point requirement is monotone (more cubes only shrink private
 # regions), which makes pruning on partial choices sound.
 
 
-def _cover_dfs_python(masks, point_sets, full_mask, max_cubes, out_limit):
-    results = []
+def _cover_dfs(masks, npoints, max_cubes, visit):
+    """Call ``visit(chosen)`` on every irredundant cover of ``npoints``
+    points by at most ``max_cubes`` of the subcube masks, in DFS order.
+    ``chosen`` lists mask indices in branching order and is reused after
+    ``visit`` returns."""
+    full_mask = (1 << npoints) - 1
+    point_sets = [
+        [i for i, m in enumerate(masks) if (m >> p) & 1] for p in range(npoints)
+    ]
 
     def private_ok(chosen):
         for i in range(len(chosen)):
@@ -302,9 +185,7 @@ def _cover_dfs_python(masks, point_sets, full_mask, max_cubes, out_limit):
 
     def rec(covered, chosen, forbidden):
         if covered == full_mask:
-            results.append(tuple(sorted(chosen)))
-            if len(results) > out_limit:
-                raise OverflowError("cover enumeration output limit")
+            visit(chosen)
             return
         if len(chosen) >= max_cubes:
             return
@@ -320,367 +201,48 @@ def _cover_dfs_python(masks, point_sets, full_mask, max_cubes, out_limit):
             tried.append(c)
 
     rec(0, [], frozenset())
-    return results
-
-
-@njit(cache=True)
-def _cover_dfs_kernel(
-    masks, cand_starts, cand_flat, full_mask, max_cubes, out_idx, out_off
-):
-    n_masks = masks.shape[0]
-    fwords = (n_masks + 63) >> 6
-    maxd = max_cubes + 1
-    chosen = np.empty(maxd, dtype=np.int64)
-    covered = np.empty(maxd + 1, dtype=np.int64)
-    cand_pos = np.empty(maxd, dtype=np.int64)
-    branch_pt = np.empty(maxd, dtype=np.int64)
-    forb = np.zeros((maxd + 1, fwords), dtype=np.uint64)
-    n_results = 0
-    depth = 0
-    covered[0] = 0
-    entering = True
-    while depth >= 0:
-        if entering:
-            cov = covered[depth]
-            if cov == full_mask:
-                if n_results + 1 >= out_off.shape[0]:
-                    return -1
-                nxt = out_off[n_results] + depth
-                if nxt > out_idx.shape[0]:
-                    return -1
-                base = out_off[n_results]
-                for i in range(depth):
-                    out_idx[base + i] = chosen[i]
-                out_off[n_results + 1] = nxt
-                n_results += 1
-                depth -= 1
-                entering = False
-                continue
-            if depth >= max_cubes:
-                depth -= 1
-                entering = False
-                continue
-            x = ~cov & full_mask
-            p = 0
-            while not ((x >> p) & 1):
-                p += 1
-            branch_pt[depth] = p
-            cand_pos[depth] = -1
-            entering = False
-        p = branch_pt[depth]
-        lo, hi = cand_starts[p], cand_starts[p + 1]
-        pos = cand_pos[depth] + 1
-        descended = False
-        while pos < hi - lo:
-            c = cand_flat[lo + pos]
-            if (forb[depth, c >> 6] >> np.uint64(c & 63)) & np.uint64(1):
-                pos += 1
-                continue
-            cand_pos[depth] = pos
-            forb[depth, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-            chosen[depth] = c
-            ok = True
-            for i in range(depth + 1):
-                rest = np.int64(0)
-                for j in range(depth + 1):
-                    if i != j:
-                        rest |= masks[chosen[j]]
-                if masks[chosen[i]] & ~rest & full_mask == 0:
-                    ok = False
-                    break
-            if ok:
-                covered[depth + 1] = covered[depth] | masks[c]
-                for w in range(fwords):
-                    forb[depth + 1, w] = forb[depth, w]
-                depth += 1
-                entering = True
-                descended = True
-                break
-            pos += 1
-        if not descended:
-            depth -= 1
-            entering = False
-    return n_results
 
 
 def cover_enumeration(masks, npoints, max_cubes, out_limit=4_000_000):
     """All irredundant covers of ``npoints`` points by the given subcube
-    masks, each cover a sorted tuple of mask indices, in DFS order."""
-    full_mask = (1 << npoints) - 1
-    point_sets = [
-        [i for i, m in enumerate(masks) if (m >> p) & 1] for p in range(npoints)
-    ]
-    if not USING_NUMBA:
-        return _cover_dfs_python(masks, point_sets, full_mask, max_cubes, out_limit)
-    cand_starts = np.zeros(npoints + 1, dtype=np.int64)
-    flat = []
-    for p in range(npoints):
-        flat.extend(point_sets[p])
-        cand_starts[p + 1] = len(flat)
-    out_idx = np.empty(out_limit, dtype=np.int64)
-    out_off = np.zeros(out_limit + 2, dtype=np.int64)
-    n_results = _cover_dfs_kernel(
-        np.asarray(masks, dtype=np.int64),
-        cand_starts,
-        np.asarray(flat, dtype=np.int64),
-        np.int64(full_mask),
-        max_cubes,
-        out_idx,
-        out_off,
-    )
-    if n_results < 0:
-        raise OverflowError("cover enumeration output limit")
-    return [
-        tuple(sorted(out_idx[out_off[r] : out_off[r + 1]].tolist()))
-        for r in range(n_results)
-    ]
+    masks, each cover a sorted tuple of mask indices, in DFS order.
 
+    Raises CapExceededError once more than ``out_limit`` covers are found.
+    """
+    results = []
 
-def _cover_scan_python(masks, var_masks, point_sets, full_mask, max_cubes):
-    n_covers = 0
-    violations = 0
-    size_counts = [0] * (max_cubes + 2)
-    size_max_vars = [0] * (max_cubes + 2)
+    def visit(chosen):
+        results.append(tuple(sorted(chosen)))
+        if len(results) > out_limit:
+            raise CapExceededError(
+                f"cover enumeration found more than {out_limit} covers"
+            )
 
-    def private_ok(chosen):
-        for i in range(len(chosen)):
-            rest = 0
-            for j in range(len(chosen)):
-                if i != j:
-                    rest |= masks[chosen[j]]
-            if masks[chosen[i]] & ~rest & full_mask == 0:
-                return False
-        return True
-
-    def rec(covered, chosen, forbidden):
-        nonlocal n_covers, violations
-        if covered == full_mask:
-            n_covers += 1
-            m = len(chosen)
-            vm = 0
-            for c in chosen:
-                vm |= var_masks[c]
-            nv = bin(vm).count("1")
-            size_counts[m] += 1
-            size_max_vars[m] = max(size_max_vars[m], nv)
-            if nv >= m:
-                violations += 1
-            return
-        if len(chosen) >= max_cubes:
-            return
-        p = ((covered + 1) & ~covered).bit_length() - 1
-        tried = []
-        for c in point_sets[p]:
-            if c in forbidden:
-                continue
-            chosen.append(c)
-            if private_ok(chosen):
-                rec(covered | masks[c], chosen, forbidden | set(tried))
-            chosen.pop()
-            tried.append(c)
-
-    rec(0, [], frozenset())
-    return n_covers, violations, size_counts, size_max_vars
-
-
-@njit(cache=True)
-def _cover_scan_kernel(masks, var_masks, cand_starts, cand_flat, full_mask, max_cubes):
-    n_masks = masks.shape[0]
-    fwords = (n_masks + 63) >> 6
-    maxd = max_cubes + 1
-    chosen = np.empty(maxd, dtype=np.int64)
-    covered = np.empty(maxd + 1, dtype=np.int64)
-    cand_pos = np.empty(maxd, dtype=np.int64)
-    branch_pt = np.empty(maxd, dtype=np.int64)
-    forb = np.zeros((maxd + 1, fwords), dtype=np.uint64)
-    size_counts = np.zeros(maxd + 1, dtype=np.int64)
-    size_max_vars = np.zeros(maxd + 1, dtype=np.int64)
-    n_covers = 0
-    violations = 0
-    depth = 0
-    covered[0] = 0
-    entering = True
-    while depth >= 0:
-        if entering:
-            cov = covered[depth]
-            if cov == full_mask:
-                n_covers += 1
-                vm = np.int64(0)
-                for i in range(depth):
-                    vm |= var_masks[chosen[i]]
-                nv = 0
-                while vm:
-                    vm &= vm - 1
-                    nv += 1
-                size_counts[depth] += 1
-                if nv > size_max_vars[depth]:
-                    size_max_vars[depth] = nv
-                if nv >= depth:
-                    violations += 1
-                depth -= 1
-                entering = False
-                continue
-            if depth >= max_cubes:
-                depth -= 1
-                entering = False
-                continue
-            x = ~cov & full_mask
-            p = 0
-            while not ((x >> p) & 1):
-                p += 1
-            branch_pt[depth] = p
-            cand_pos[depth] = -1
-            entering = False
-        p = branch_pt[depth]
-        lo, hi = cand_starts[p], cand_starts[p + 1]
-        pos = cand_pos[depth] + 1
-        descended = False
-        while pos < hi - lo:
-            c = cand_flat[lo + pos]
-            if (forb[depth, c >> 6] >> np.uint64(c & 63)) & np.uint64(1):
-                pos += 1
-                continue
-            cand_pos[depth] = pos
-            forb[depth, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-            chosen[depth] = c
-            ok = True
-            for i in range(depth + 1):
-                rest = np.int64(0)
-                for j in range(depth + 1):
-                    if i != j:
-                        rest |= masks[chosen[j]]
-                if masks[chosen[i]] & ~rest & full_mask == 0:
-                    ok = False
-                    break
-            if ok:
-                covered[depth + 1] = covered[depth] | masks[c]
-                for w in range(fwords):
-                    forb[depth + 1, w] = forb[depth, w]
-                depth += 1
-                entering = True
-                descended = True
-                break
-            pos += 1
-        if not descended:
-            depth -= 1
-            entering = False
-    return n_covers, violations, size_counts, size_max_vars
+    _cover_dfs(masks, npoints, max_cubes, visit)
+    return results
 
 
 def cover_scan(masks, var_masks, npoints, max_cubes):
     """Walk every irredundant cover, checking the used-variable count stays
     below the cover size; returns (covers, violations, counts-by-size,
     max-vars-by-size) without materializing the covers."""
-    full_mask = (1 << npoints) - 1
-    point_sets = [
-        [i for i, m in enumerate(masks) if (m >> p) & 1] for p in range(npoints)
-    ]
-    if not USING_NUMBA:
-        return _cover_scan_python(masks, var_masks, point_sets, full_mask, max_cubes)
-    cand_starts = np.zeros(npoints + 1, dtype=np.int64)
-    flat = []
-    for p in range(npoints):
-        flat.extend(point_sets[p])
-        cand_starts[p + 1] = len(flat)
-    n, v, counts, mx = _cover_scan_kernel(
-        np.asarray(masks, dtype=np.int64),
-        np.asarray(var_masks, dtype=np.int64),
-        cand_starts,
-        np.asarray(flat, dtype=np.int64),
-        np.int64(full_mask),
-        max_cubes,
-    )
-    return n, v, counts.tolist(), mx.tolist()
+    n_covers = 0
+    violations = 0
+    size_counts = [0] * (max_cubes + 2)
+    size_max_vars = [0] * (max_cubes + 2)
 
+    def visit(chosen):
+        nonlocal n_covers, violations
+        n_covers += 1
+        m = len(chosen)
+        vm = 0
+        for c in chosen:
+            vm |= var_masks[c]
+        nv = bin(vm).count("1")
+        size_counts[m] += 1
+        size_max_vars[m] = max(size_max_vars[m], nv)
+        if nv >= m:
+            violations += 1
 
-@njit(cache=True)
-def _kdnf_scan_kernel(sat, vm, req_flat, req_off, max_formulas, full, out, out_cap):
-    n = sat.shape[0]
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    count = 0
-
-    for i in range(n):
-        si = sat[i]
-        for j in range(i + 1, n):
-            joint = si & sat[j]
-            if joint == si:
-                continue
-            if joint == zero:
-                vms = vm[i] | vm[j]
-                if vms & (vms + one) != zero:
-                    continue
-                # minimality: every single-term shrink leaves a witness
-                ok = True
-                for r in range(req_off[i], req_off[i + 1]):
-                    if sat[j] & req_flat[r] == zero:
-                        ok = False
-                        break
-                if ok:
-                    for r in range(req_off[j], req_off[j + 1]):
-                        if si & req_flat[r] == zero:
-                            ok = False
-                            break
-                if ok:
-                    if count + 3 > out_cap:
-                        return -1
-                    out[count] = i
-                    out[count + 1] = j
-                    out[count + 2] = -1
-                    count += 3
-            elif max_formulas >= 3:
-                for l in range(j + 1, n):
-                    if sat[l] & joint != zero:
-                        continue
-                    vms = vm[i] | vm[j] | vm[l]
-                    if vms & (vms + one) != zero:
-                        continue
-                    o_i = sat[j] & sat[l]
-                    o_j = si & sat[l]
-                    o_l = joint
-                    ok = True
-                    for r in range(req_off[i], req_off[i + 1]):
-                        if o_i & req_flat[r] == zero:
-                            ok = False
-                            break
-                    if ok:
-                        for r in range(req_off[j], req_off[j + 1]):
-                            if o_j & req_flat[r] == zero:
-                                ok = False
-                                break
-                    if ok:
-                        for r in range(req_off[l], req_off[l + 1]):
-                            if o_l & req_flat[r] == zero:
-                                ok = False
-                                break
-                    if ok:
-                        if count + 3 > out_cap:
-                            return -1
-                        out[count] = i
-                        out[count + 1] = j
-                        out[count + 2] = l
-                        count += 3
-    return count
-
-
-def kdnf_min_unsat_scan(sat, vm, req_flat, req_off, max_formulas, full, out_cap=600_000):
-    """Exhaustive scan for minimally unsatisfiable sets of two or three
-    formulas given per-formula satisfying-assignment masks, used-variable
-    masks, and per-shrink requirement masks; returns index tuples."""
-    out = np.empty(out_cap, dtype=np.int64)
-    count = _kdnf_scan_kernel(
-        np.asarray(sat, dtype=np.uint64),
-        np.asarray(vm, dtype=np.uint64),
-        np.asarray(req_flat, dtype=np.uint64),
-        np.asarray(req_off, dtype=np.int64),
-        max_formulas,
-        np.uint64(full),
-        out,
-        out_cap,
-    )
-    if count < 0:
-        raise OverflowError("k-DNF scan output limit")
-    return [
-        tuple(x for x in out[i : i + 3].tolist() if x >= 0)
-        for i in range(0, count, 3)
-    ]
+    _cover_dfs(masks, npoints, max_cubes, visit)
+    return n_covers, violations, size_counts, size_max_vars

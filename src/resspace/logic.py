@@ -426,26 +426,21 @@ def _as_rows(entity, var_bit):
     satisfied iff some row (a term) holds.  Rows are (pos_mask, neg_mask)
     bit masks over the assignment word.
     """
-    def clause_row(c):
-        pos = sum(1 << var_bit[l] for l in c if l > 0)
-        neg = sum(1 << var_bit[-l] for l in c if l < 0)
-        return (pos, neg)
-
-    def term_row(t):
-        pos = sum(1 << var_bit[l] for l in t if l > 0)
-        neg = sum(1 << var_bit[-l] for l in t if l < 0)
+    def row(lits):
+        pos = sum(1 << var_bit[l] for l in lits if l > 0)
+        neg = sum(1 << var_bit[-l] for l in lits if l < 0)
         return (pos, neg)
 
     if isinstance(entity, int):
         entity = Clause([entity])
     if isinstance(entity, Clause):
-        return ("cnf", [clause_row(entity)])
+        return ("cnf", [row(entity)])
     if isinstance(entity, Term):
-        return ("dnf", [term_row(entity)])
+        return ("dnf", [row(entity)])
     if isinstance(entity, CnfFormula):
-        return ("cnf", [clause_row(c) for c in entity])
+        return ("cnf", [row(c) for c in entity])
     if isinstance(entity, KDnfFormula):
-        return ("dnf", [term_row(t) for t in entity])
+        return ("dnf", [row(t) for t in entity])
     raise TypeError(f"cannot encode {type(entity).__name__}")
 
 

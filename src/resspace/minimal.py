@@ -286,8 +286,6 @@ def _all_terms(k, max_vars):
 
 
 def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
-    import numpy as np
-
     if (1 << max_vars) > 64:
         raise CapExceededError("k-DNF enumeration supports at most 6 variables")
     if max_formulas > 3:
@@ -316,14 +314,10 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
     formulas.sort(key=lambda fs: fs[0].terms)
 
     sats = [s for _, s in formulas]
-    var_masks = []
+    var_masks = [_var_mask(f) for f, _ in formulas]
     req_masks = []  # per formula, per (term, literal) shrink: the mask a
     # joint assignment of the other formulas must intersect
     for f, _ in formulas:
-        vm = 0
-        for v in f.variables():
-            vm |= 1 << (v - 1)
-        var_masks.append(vm)
         reqs = []
         for t in f.terms:
             rest = 0
@@ -334,16 +328,7 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
                 reqs.append(rest | shrunk_mask[(t, lit)])
         req_masks.append(tuple(reqs))
 
-    if accel.USING_NUMBA:
-        req_flat = [r for reqs in req_masks for r in reqs]
-        req_off = [0]
-        for reqs in req_masks:
-            req_off.append(req_off[-1] + len(reqs))
-        hits = accel.kdnf_min_unsat_scan(
-            sats, var_masks, req_flat, req_off, max_formulas, full
-        )
-    else:
-        hits = _kdnf_scan_python(sats, var_masks, req_masks, max_formulas, full)
+    hits = _kdnf_scan_python(sats, var_masks, req_masks, max_formulas, full)
 
     seen = set()
     results = []
@@ -357,9 +342,6 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
 
 
 def _kdnf_scan_python(sats, var_masks, req_masks, max_formulas, full):
-    def gapless(vm):
-        return vm & (vm + 1) == 0
-
     def shrink_ok(members):
         for a in members:
             others = full
@@ -380,14 +362,14 @@ def _kdnf_scan_python(sats, var_masks, req_masks, max_formulas, full):
             if joint == si:
                 continue
             if joint == 0:
-                if gapless(var_masks[i] | var_masks[j]) and shrink_ok((i, j)):
+                if _gap_free_mask(var_masks[i] | var_masks[j]) and shrink_ok((i, j)):
                     hits.append((i, j))
             elif max_formulas >= 3:
                 for l in range(j + 1, n):
                     if sats[l] & joint:
                         continue
-                    if gapless(var_masks[i] | var_masks[j] | var_masks[l]) and shrink_ok(
-                        (i, j, l)
-                    ):
+                    if _gap_free_mask(
+                        var_masks[i] | var_masks[j] | var_masks[l]
+                    ) and shrink_ok((i, j, l)):
                         hits.append((i, j, l))
     return hits

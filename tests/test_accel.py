@@ -1,74 +1,62 @@
-"""Parity between the numba kernels and their fallbacks, plus cap plumbing."""
+"""Kernels against brute-force oracles, the shared cover walk, cap plumbing."""
 
-import numpy as np
+import itertools
+
 import pytest
 
 from resspace import accel
-from resspace.graphs import bit_reversal_graph, pyramid_graph
-from resspace.logic import all_clauses_over
-from resspace.minimal import _clause_mask, _var_mask
-
-needs_numba = pytest.mark.skipif(
-    not accel.USING_NUMBA, reason="running on the fallback path"
+from resspace.errors import CapExceededError
+from resspace.logic import KDnfFormula, all_clauses_over
+from resspace.minimal import (
+    _all_terms,
+    _clause_mask,
+    _gap_free_mask,
+    _kdnf_scan_python,
+    _term_mask,
+    _var_mask,
+    is_minimally_unsatisfiable,
 )
 
 
-def _bfs_args(g, space):
-    preds = [0] * g.n
-    for v in range(1, g.n + 1):
-        for u in g.predecessors(v):
-            preds[v - 1] |= 1 << (u - 1)
-    return g.n, preds, 1 << (g.sink - 1), space, 1_000_000
-
-
-@needs_numba
-def test_black_bfs_paths_agree():
-    for g, space in [(pyramid_graph(2), 4), (bit_reversal_graph(2), 3), (pyramid_graph(1), 2)]:
-        n, preds, target, cap, states = _bfs_args(g, space)
-        a = accel._black_bfs_kernel(
-            n, np.asarray(preds, dtype=np.int64), np.int64(target), cap, states
-        )
-        b = accel._black_bfs_numpy(
-            n, np.asarray(preds, dtype=np.int64), np.int64(target), cap, states
-        )
-        assert a[0] == b[0]
-        assert a[4] == b[4]
-        assert np.array_equal(a[1], b[1])
-        assert np.array_equal(a[2], b[2])
-        assert np.array_equal(a[3], b[3])
-
-
-@needs_numba
-def test_cover_enumeration_paths_agree():
-    for max_vars in (2, 3):
-        universe = all_clauses_over(range(1, max_vars + 1))
-        masks = [_clause_mask(c, max_vars) for c in universe]
-        npoints = 1 << max_vars
-        got = accel.cover_enumeration(masks, npoints, 6)
-        point_sets = [
-            [i for i, m in enumerate(masks) if (m >> p) & 1] for p in range(npoints)
-        ]
-        want = accel._cover_dfs_python(masks, point_sets, (1 << npoints) - 1, 6, 10**7)
-        assert got == want
-
-
-@needs_numba
-def test_cover_scan_paths_agree():
-    max_vars = 3
+def _clause_universe(max_vars):
     universe = all_clauses_over(range(1, max_vars + 1))
     masks = [_clause_mask(c, max_vars) for c in universe]
     var_masks = [_var_mask(c) for c in universe]
-    npoints = 1 << max_vars
-    got = accel.cover_scan(masks, var_masks, npoints, 8)
-    point_sets = [
-        [i for i, m in enumerate(masks) if (m >> p) & 1] for p in range(npoints)
-    ]
-    want = accel._cover_scan_python(
-        masks, var_masks, point_sets, (1 << npoints) - 1, 8
+    return masks, var_masks, 1 << max_vars
+
+
+@pytest.mark.parametrize("max_vars, max_cubes", [(2, 4), (3, 8)])
+def test_cover_enumeration_and_scan_agree(max_vars, max_cubes):
+    # both wrappers visit the same DFS: the enumerated covers must reproduce
+    # every figure the scan reports
+    masks, var_masks, npoints = _clause_universe(max_vars)
+    covers = accel.cover_enumeration(masks, npoints, max_cubes)
+    n, violations, counts, max_vars_by_size = accel.cover_scan(
+        masks, var_masks, npoints, max_cubes
     )
-    assert tuple(got[:2]) == tuple(want[:2])
-    assert list(got[2]) == list(want[2])
-    assert list(got[3]) == list(want[3])
+    assert len(covers) == n > 0
+    assert len(set(covers)) == len(covers)
+    want_counts = [0] * (max_cubes + 2)
+    want_max = [0] * (max_cubes + 2)
+    want_violations = 0
+    for cover in covers:
+        vm = 0
+        for c in cover:
+            vm |= var_masks[c]
+        nv = bin(vm).count("1")
+        want_counts[len(cover)] += 1
+        want_max[len(cover)] = max(want_max[len(cover)], nv)
+        want_violations += nv >= len(cover)
+    assert counts == want_counts
+    assert max_vars_by_size == want_max
+    assert violations == want_violations
+
+
+def test_cover_enumeration_output_limit_is_a_cap_error():
+    masks, _, npoints = _clause_universe(2)
+    assert len(accel.cover_enumeration(masks, npoints, 4, out_limit=11)) == 11
+    with pytest.raises(CapExceededError):
+        accel.cover_enumeration(masks, npoints, 4, out_limit=5)
 
 
 def test_unsafe_cap_override(monkeypatch):
@@ -80,13 +68,11 @@ def test_unsafe_cap_override(monkeypatch):
 
 
 def test_kdnf_scan_fallback_agrees():
-    # tiny instance: both scan implementations yield identical index tuples
-    from resspace.minimal import _all_terms, _term_mask
-
+    # the scan's hits are exactly the gap-free pairs and triples of the
+    # tiny formula list that the definitional checker calls minimal
     k, max_vars = 2, 3
     terms = _all_terms(k, max_vars)
-    import itertools
-
+    full = (1 << (1 << max_vars)) - 1
     formulas = []
     for m in (1, 2):
         for combo in itertools.combinations(terms[:10], m):
@@ -95,36 +81,35 @@ def test_kdnf_scan_fallback_agrees():
             sat = 0
             for t in combo:
                 sat |= _term_mask(t, max_vars)
-            full = (1 << (1 << max_vars)) - 1
             if sat == full:
                 continue
-            formulas.append((combo, sat))
-    full = (1 << (1 << max_vars)) - 1
+            formulas.append((KDnfFormula(combo, k=k), sat))
+    assert len(formulas) == 45
     sats = [s for _, s in formulas]
-    var_masks = []
+    var_masks = [_var_mask(f) for f, _ in formulas]
     req_masks = []
-    for combo, _ in formulas:
-        vm = 0
-        for t in combo:
-            for l in t.lits:
-                vm |= 1 << (abs(l) - 1)
-        var_masks.append(vm)
+    for f, _ in formulas:
         reqs = []
-        for t in combo:
+        for t in f.terms:
             rest = 0
-            for u in combo:
+            for u in f.terms:
                 if u != t:
                     rest |= _term_mask(u, max_vars)
             for lit in t.lits:
                 reqs.append(rest | _term_mask(t.without(lit), max_vars))
         req_masks.append(tuple(reqs))
-    from resspace.minimal import _kdnf_scan_python
 
-    want = _kdnf_scan_python(sats, var_masks, req_masks, 3, full)
-    if accel.USING_NUMBA:
-        req_flat = [r for reqs in req_masks for r in reqs]
-        req_off = [0]
-        for reqs in req_masks:
-            req_off.append(req_off[-1] + len(reqs))
-        got = accel.kdnf_min_unsat_scan(sats, var_masks, req_flat, req_off, 3, full)
-        assert [tuple(t) for t in got] == [tuple(t) for t in want]
+    got = _kdnf_scan_python(sats, var_masks, req_masks, 3, full)
+
+    want = []
+    for size in (2, 3):
+        for idxs in itertools.combinations(range(len(formulas)), size):
+            vm = 0
+            for i in idxs:
+                vm |= var_masks[i]
+            if _gap_free_mask(vm) and is_minimally_unsatisfiable(
+                [formulas[i][0] for i in idxs]
+            ):
+                want.append(idxs)
+    assert want
+    assert sorted(got) == sorted(want)

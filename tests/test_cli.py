@@ -1,5 +1,7 @@
+import functools
 import json
 
+from resspace import accel
 from resspace.cli import main
 
 
@@ -194,6 +196,18 @@ def test_pebble_min_time(capsys):
 
 def test_cap_exit_code():
     assert run(["pebble", "--graph", "path:30", "--mode", "black"]) == 3
+
+
+def test_minunsat_cover_output_limit_exits_3(monkeypatch, capsys):
+    # the fixed 4,000,000-cover limit, lowered so a tiny enumeration hits it
+    monkeypatch.setattr(
+        accel,
+        "cover_enumeration",
+        functools.partial(accel.cover_enumeration, out_limit=5),
+    )
+    argv = ["minunsat", "--k", "1", "--max-vars", "2", "--max-formulas", "3"]
+    assert run(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_selftest(capsys):

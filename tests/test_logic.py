@@ -250,29 +250,43 @@ def test_canonicalization_idempotent():
 
 
 def test_accel_paths_agree():
-    # the numba kernel and the numpy fallback must give identical answers
+    # the vectorized sweep returns the first assignment, in bit order, that
+    # satisfies the premises and falsifies a conclusion
     from resspace import accel
     from resspace.logic import _as_rows
 
     rng = random.Random(3)
-    for _ in range(40):
+    found = 0
+    for _ in range(60):
         nv = rng.randint(1, 6)
         var_bit = {v: v - 1 for v in range(1, nv + 1)}
-        prem = []
-        for _ in range(rng.randint(1, 3)):
-            lits = [
+
+        def lits():
+            return [
                 v * rng.choice((1, -1))
                 for v in rng.sample(range(1, nv + 1), rng.randint(1, nv))
             ]
-            prem.append(Clause(lits))
+
+        prem = [Clause(lits()) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            prem.append(KDnfFormula([Term(lits()) for _ in range(2)], k=nv))
         conc = [Clause([rng.randint(1, nv) * rng.choice((1, -1))])]
-        p_rows = [_as_rows(e, var_bit) for e in prem]
-        c_rows = [_as_rows(e, var_bit) for e in conc]
-        a = accel._cx_numpy(
-            nv, *accel._flatten_side(p_rows), *accel._flatten_side(c_rows)
+        if rng.random() < 0.5:
+            conc.append(Term(lits()))
+        want = next(
+            (
+                bits
+                for bits, alpha in enumerate(all_assignments(range(1, nv + 1)))
+                if all(evaluate(e, alpha) for e in prem)
+                and not all(evaluate(e, alpha) for e in conc)
+            ),
+            None,
         )
-        if accel.USING_NUMBA:
-            b = int(accel._cx_kernel(
-                nv, *accel._flatten_side(p_rows), *accel._flatten_side(c_rows)
-            ))
-            assert a == b
+        got = accel.find_counterexample(
+            nv,
+            [_as_rows(e, var_bit) for e in prem],
+            [_as_rows(e, var_bit) for e in conc],
+        )
+        assert got == want
+        found += want is not None
+    assert 0 < found < 60
