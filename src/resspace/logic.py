@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .caps import get_cap
 from .errors import (
@@ -177,8 +177,14 @@ class CnfFormula:
     def width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
 
+    @cached_property
+    def _clause_set(self) -> frozenset[Clause]:
+        # derived on first membership test; not a field, so equality, hash
+        # and order still see only the clause tuple
+        return frozenset(self.clauses)
+
     def __contains__(self, clause: Clause) -> bool:
-        return clause in self.clauses
+        return clause in self._clause_set
 
     def __iter__(self):
         return iter(self.clauses)

@@ -25,6 +25,7 @@ the new line to stay over the variables of the target formula and board
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadPremisesError,
@@ -164,20 +165,60 @@ def match_ande(d1: KDnfFormula, cons: KDnfFormula):
 
 class Configuration:
     """Live lines indexed by stable id; the configuration proper is the set
-    of distinct values."""
+    of distinct values.
+
+    The measures are kept up to date as lines are added and popped: a
+    multiplicity for each distinct value, for each variable the number of
+    distinct values that mention it, and the total size of the distinct
+    values.  Their peaks, and the largest term count and size of any line,
+    are taken when a value enters the board: an erasure never raises them.
+    """
 
     def __init__(self):
         self.lines: dict[int, KDnfFormula] = {}
         self.next_id = 1
+        self.multiplicity: dict[KDnfFormula, int] = {}
+        self.var_refs: dict[int, int] = {}
+        self.total_size = 0
+        self.peak_formulas = self.peak_total = self.peak_variables = 0
+        self.max_terms = self.max_size = 0
 
     def add(self, formula: KDnfFormula) -> int:
         i = self.next_id
         self.lines[i] = formula
         self.next_id += 1
+        count = self.multiplicity.get(formula, 0)
+        self.multiplicity[formula] = count + 1
+        if not count:
+            size = formula.size()
+            self.total_size += size
+            for v in formula.variables():
+                self.var_refs[v] = self.var_refs.get(v, 0) + 1
+            self.peak_formulas = max(self.peak_formulas, len(self.multiplicity))
+            self.peak_total = max(self.peak_total, self.total_size)
+            self.peak_variables = max(self.peak_variables, len(self.var_refs))
+            self.max_terms = max(self.max_terms, len(formula.terms))
+            self.max_size = max(self.max_size, size)
         return i
 
+    def pop(self, line_id: int) -> KDnfFormula:
+        formula = self.lines.pop(line_id)
+        count = self.multiplicity[formula]
+        if count > 1:
+            self.multiplicity[formula] = count - 1
+            return formula
+        del self.multiplicity[formula]
+        self.total_size -= formula.size()
+        for v in formula.variables():
+            refs = self.var_refs[v]
+            if refs > 1:
+                self.var_refs[v] = refs - 1
+            else:
+                del self.var_refs[v]
+        return formula
+
     def values(self) -> frozenset[KDnfFormula]:
-        return frozenset(self.lines.values())
+        return frozenset(self.multiplicity)
 
 
 @dataclass
@@ -192,11 +233,17 @@ class ReplayEvent:
     pos_premise: int | None = None  # id of the premise holding the pivot
 
 
+def _seeded(deriv: Derivation) -> Configuration:
+    config = Configuration()
+    for assumption in deriv.assumptions:
+        config.add(assumption.with_k(deriv.k))
+    return config
+
+
 @dataclass
 class ReplayLog:
     derivation: Derivation
     events: list
-    configs: list  # frozensets of line values, configs[0] = empty
     measures: MeasureReport
     first_zero: int | None  # index of the first configuration containing 0
 
@@ -204,25 +251,53 @@ class ReplayLog:
     def refuted(self) -> bool:
         return self.first_zero is not None
 
+    @cached_property
+    def configs(self) -> list[frozenset[KDnfFormula]]:
+        """Frozensets of line values: configs[0] is the seeded board and
+        configs[t + 1] the board after step t.  Built from the events on
+        first read, so a replay that only needs the measures holds none."""
+        config = _seeded(self.derivation)
+        out = [config.values()]
+        for ev in self.events:
+            if ev.kind == "erase":
+                config.pop(ev.new_id)
+            else:
+                config.add(ev.formula)
+            out.append(config.values())
+        return out
 
-def _check_inference(deriv, config, step, index):
+
+@dataclass(frozen=True)
+class _Rules:
+    """What a step is checked against: the target formula, k and the mode."""
+
+    formula: CnfFormula
+    k: int
+    mode: str
+
+    @cached_property
+    def formula_variables(self) -> frozenset[int]:
+        return self.formula.variables()
+
+
+def _check_inference(rules, config, step, index):
     for p in step.premises:
         if p not in config.lines:
             raise BadPremisesError(f"step {index}: premise {p} not on the board")
     vals = tuple(config.lines[p] for p in step.premises)
     cons = step.formula
-    if cons.max_term_width() > deriv.k:
-        raise WidthExceededError(f"step {index}: term wider than k={deriv.k}")
-    if cons.k != deriv.k:
-        cons = cons.with_k(deriv.k)
+    if cons.max_term_width() > rules.k:
+        raise WidthExceededError(f"step {index}: term wider than k={rules.k}")
+    if cons.k != rules.k:
+        cons = cons.with_k(rules.k)
     rule = step.rule
-    if deriv.mode == SEMANTIC:
+    if rules.mode == SEMANTIC:
         if rule != "sem":
             raise RuleMismatchError(f"step {index}: semantic derivations use rule sem")
-        allowed = deriv.formula.variables() | frozenset().union(
-            *(v.variables() for v in config.values()), frozenset()
-        )
-        if not cons.variables() <= allowed:
+        if any(
+            v not in config.var_refs and v not in rules.formula_variables
+            for v in cons.variables()
+        ):
             raise RuleMismatchError(
                 f"step {index}: consequence mentions variables outside the board"
             )
@@ -249,8 +324,8 @@ def _check_inference(deriv, config, step, index):
         if len(vals) != 2:
             raise BadPremisesError(f"step {index}: andi takes two premises")
         if (
-            match_andi(vals[0], vals[1], cons, deriv.k) is None
-            and match_andi(vals[1], vals[0], cons, deriv.k) is None
+            match_andi(vals[0], vals[1], cons, rules.k) is None
+            and match_andi(vals[1], vals[0], cons, rules.k) is None
         ):
             raise RuleMismatchError(f"step {index}: not an andi consequence")
         return ReplayEvent("infer", None, cons, rule, step.premises, vals)
@@ -271,80 +346,60 @@ def _check_inference(deriv, config, step, index):
     raise RuleMismatchError(f"step {index}: unknown rule {rule!r}")
 
 
+def _at(index):
+    return "" if index is None else f"step {index}: "
+
+
+def _apply_step(rules: _Rules, config: Configuration, step, index=None) -> ReplayEvent:
+    """Check one step against the board and apply it in place.  ``index``
+    numbers the step in error messages; interactive checking passes None
+    and reports inference errors at step 0."""
+    if isinstance(step, AxiomDownload):
+        if step.clause not in rules.formula:
+            raise NotAnAxiomError(
+                f"{_at(index)}clause {step.clause.lits} is not an axiom"
+            )
+        line = KDnfFormula.from_clause(step.clause, k=rules.k)
+        return ReplayEvent("axiom", config.add(line), line)
+    if isinstance(step, Inference):
+        ev = _check_inference(rules, config, step, index or 0)
+        ev.new_id = config.add(ev.formula)
+        return ev
+    if isinstance(step, Erasure):
+        if step.target not in config.lines:
+            raise BadPremisesError(f"{_at(index)}erasing missing id {step.target}")
+        return ReplayEvent("erase", step.target, config.pop(step.target))
+    raise RuleMismatchError(f"{_at(index)}unknown step kind")
+
+
 def replay(deriv: Derivation) -> ReplayLog:
     """Validate every step and account the measures."""
-    config = Configuration()
-    for assumption in deriv.assumptions:
-        config.add(assumption.with_k(deriv.k))
-    events = []
-    configs = [config.values()]
-    first_zero = None
-    length = downloads = 0
-    max_fs = max_ts = max_vs = 0
-    max_width = 0
-    max_terms = max_size = 0
+    rules = _Rules(deriv.formula, deriv.k, deriv.mode)
+    config = _seeded(deriv)
     zero = zero_formula(deriv.k)
-    if deriv.assumptions:
-        seeded = configs[0]
-        max_fs = len(seeded)
-        max_ts = sum(v.size() for v in seeded)
-        max_vs = len(frozenset().union(*(v.variables() for v in seeded), frozenset()))
-        for v in seeded:
-            if deriv.k == 1:
-                max_width = max(max_width, len(v.terms))
-            max_terms = max(max_terms, len(v.terms))
-            max_size = max(max_size, v.size())
-        if zero in seeded:
-            first_zero = 0
+    first_zero = 0 if zero in config.multiplicity else None
+    events = []
+    length = downloads = 0
     for index, step in enumerate(deriv.steps):
-        if isinstance(step, AxiomDownload):
-            if step.clause not in deriv.formula:
-                raise NotAnAxiomError(
-                    f"step {index}: clause {step.clause.lits} is not an axiom"
-                )
-            line = KDnfFormula.from_clause(step.clause, k=deriv.k)
-            new_id = config.add(line)
-            events.append(ReplayEvent("axiom", new_id, line))
-            length += 1
-            downloads += 1
-        elif isinstance(step, Inference):
-            ev = _check_inference(deriv, config, step, index)
-            cons = ev.formula
-            ev.new_id = config.add(cons)
-            events.append(ev)
-            length += 1
-        elif isinstance(step, Erasure):
-            if step.target not in config.lines:
-                raise BadPremisesError(f"step {index}: erasing missing id {step.target}")
-            gone = config.lines.pop(step.target)
-            events.append(ReplayEvent("erase", step.target, gone))
-        else:
-            raise RuleMismatchError(f"step {index}: unknown step kind")
-        values = config.values()
-        configs.append(values)
-        if first_zero is None and zero in values:
-            first_zero = len(configs) - 1
-        max_fs = max(max_fs, len(values))
-        max_ts = max(max_ts, sum(v.size() for v in values))
-        max_vs = max(
-            max_vs, len(frozenset().union(*(v.variables() for v in values), frozenset()))
-        )
-        for v in values:
-            if deriv.k == 1:
-                max_width = max(max_width, len(v.terms))
-            max_terms = max(max_terms, len(v.terms))
-            max_size = max(max_size, v.size())
+        ev = _apply_step(rules, config, step, index)
+        events.append(ev)
+        if ev.kind == "erase":
+            continue
+        length += 1
+        downloads += ev.kind == "axiom"
+        if first_zero is None and ev.formula == zero:
+            first_zero = index + 1
     measures = MeasureReport(
         length=length,
         axiom_downloads=downloads,
-        formula_space=max_fs,
-        total_space=max_ts,
-        variable_space=max_vs,
-        width=max_width if deriv.k == 1 else None,
-        max_terms=None if deriv.k == 1 else max_terms,
-        max_formula_size=None if deriv.k == 1 else max_size,
+        formula_space=config.peak_formulas,
+        total_space=config.peak_total,
+        variable_space=config.peak_variables,
+        width=config.max_terms if deriv.k == 1 else None,
+        max_terms=None if deriv.k == 1 else config.max_terms,
+        max_formula_size=None if deriv.k == 1 else config.max_size,
     )
-    return ReplayLog(deriv, events, configs, measures, first_zero)
+    return ReplayLog(deriv, events, measures, first_zero)
 
 
 def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:
@@ -359,21 +414,10 @@ def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:
 
 def check_step(formula, config: Configuration, step, k: int, mode: str):
     """Apply one step to a configuration in place; returns the new line id
-    (None for erasures).  Exposed for interactive/streaming checking."""
-    deriv = Derivation(formula, k, mode, (step,))
-    if isinstance(step, AxiomDownload):
-        if step.clause not in formula:
-            raise NotAnAxiomError(f"clause {step.clause.lits} is not an axiom")
-        return config.add(KDnfFormula.from_clause(step.clause, k=k))
-    if isinstance(step, Inference):
-        ev = _check_inference(deriv, config, step, 0)
-        return config.add(ev.formula)
-    if isinstance(step, Erasure):
-        if step.target not in config.lines:
-            raise BadPremisesError(f"erasing missing id {step.target}")
-        config.lines.pop(step.target)
-        return None
-    raise RuleMismatchError("unknown step kind")
+    (None for erasures).  Exposed for interactive/streaming checking: the
+    rules and the accounting on ``config`` are those of ``replay``."""
+    ev = _apply_step(_Rules(formula, k, mode), config, step)
+    return None if ev.kind == "erase" else ev.new_id
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,33 @@ def test_cnf_drops_trivial_by_default():
     assert len(g) == 2
 
 
+def test_cnf_membership():
+    f = CnfFormula([[1, 2], [-1], [2, 3, -4]])
+    assert Clause([2, 1]) in f
+    assert Clause([-1]) in f
+    assert Clause([1]) not in f
+    assert Clause([1, 2, 3]) not in f
+    assert EMPTY_CLAUSE not in f
+    trivial = Clause([1, -1])
+    assert trivial not in CnfFormula([trivial, [2]])
+    kept = CnfFormula([trivial, [2]], keep_trivial=True)
+    assert trivial in kept and Clause([2]) in kept
+    assert Clause([1]) not in kept
+
+
+def test_cnf_membership_leaves_equality_hash_and_order():
+    import dataclasses
+
+    f, twin = CnfFormula([[1, 2], [-1]]), CnfFormula([[-1], [2, 1]])
+    smaller = CnfFormula([[-2]])
+    before = (hash(f), f == twin, f < smaller, smaller < f)
+    assert Clause([-1]) in f and Clause([1]) not in smaller
+    assert (hash(f), f == twin, f < smaller, smaller < f) == before
+    assert hash(f) == hash(twin) and f == twin
+    assert [fd.name for fd in dataclasses.fields(CnfFormula)] == ["clauses"]
+    assert repr(f) == repr(twin)
+
+
 def test_cnf_counts():
     f = CnfFormula([[1, 2], [-1], [2, 3, -4]])
     assert len(f) == 3

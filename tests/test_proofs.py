@@ -20,11 +20,14 @@ from resspace.logic import (
 )
 from resspace.proofs import (
     AxiomDownload,
+    Configuration,
     Derivation,
     DerivationBuilder,
     Erasure,
     Inference,
+    MeasureReport,
     check_refutation,
+    check_step,
     derive_implied_clause,
     replay,
     zero_formula,
@@ -438,3 +441,271 @@ def test_checker_mutation_soundness():
             if ev.kind == "infer":
                 assert implies(list(log.configs[t]), [ev.formula])
     assert rejected > accepted
+
+
+# --- incremental accounting against a from-scratch recount ------------------
+
+
+def _from_scratch(deriv):
+    """Configurations, measures and first zero of a derivation that replay
+    accepts, recomputed over the whole board after every step."""
+    lines = {i: a.with_k(deriv.k) for i, a in enumerate(deriv.assumptions, 1)}
+    next_id = len(lines) + 1
+    configs = [frozenset(lines.values())]
+    length = downloads = 0
+    for step in deriv.steps:
+        if isinstance(step, Erasure):
+            del lines[step.target]
+        else:
+            length += 1
+            if isinstance(step, AxiomDownload):
+                downloads += 1
+                lines[next_id] = KDnfFormula.from_clause(step.clause, k=deriv.k)
+            else:
+                lines[next_id] = step.formula.with_k(deriv.k)
+            next_id += 1
+        configs.append(frozenset(lines.values()))
+    entered = set().union(*configs)
+    max_terms = max((len(v.terms) for v in entered), default=0)
+    max_size = max((v.size() for v in entered), default=0)
+    k1 = deriv.k == 1
+    measures = MeasureReport(
+        length=length,
+        axiom_downloads=downloads,
+        formula_space=max(len(c) for c in configs),
+        total_space=max(sum(v.size() for v in c) for c in configs),
+        variable_space=max(
+            len(frozenset().union(*(v.variables() for v in c))) for c in configs
+        ),
+        width=max_terms if k1 else None,
+        max_terms=None if k1 else max_terms,
+        max_formula_size=None if k1 else max_size,
+    )
+    zero = zero_formula(deriv.k)
+    first_zero = next((t for t, c in enumerate(configs) if zero in c), None)
+    return configs, measures, first_zero
+
+
+def _assert_matches_scratch(deriv):
+    log = replay(deriv)
+    configs, measures, first_zero = _from_scratch(deriv)
+    assert log.measures == measures
+    assert log.first_zero == first_zero
+    assert log.configs == configs
+    # the interactive checker applies the same rules and accounting
+    config = Configuration()
+    for a in deriv.assumptions:
+        config.add(a.with_k(deriv.k))
+    for step in deriv.steps:
+        check_step(deriv.formula, config, step, deriv.k, deriv.mode)
+    assert config.values() == configs[-1]
+    assert (config.peak_formulas, config.peak_total, config.peak_variables) == (
+        measures.formula_space,
+        measures.total_space,
+        measures.variable_space,
+    )
+    return log
+
+
+@pytest.mark.parametrize(
+    "graph, fspec, k",
+    [
+        ("path:3", "xor:2", "1"),
+        ("path:3", "xor:2", "d"),
+        ("pyramid:3", "xor:2", "1"),
+        ("pyramid:2", "maj:3", "d"),
+        ("binary_tree:2", "xor:2", "d"),
+        ("bit_reversal:1", "maj:3", "1"),
+        ("path:2", "xor:3", "d"),
+    ],
+)
+def test_measures_match_scratch_on_compiled_refutations(graph, fspec, k):
+    from resspace.boolfunc import function_by_name
+    from resspace.compilers import compile_pebbling, compile_pebbling_rk
+    from resspace.graphs import make_graph
+    from resspace.pebbling import trivial_black_pebbling
+
+    family, _, param = graph.partition(":")
+    dag = make_graph(family, int(param))
+    name, _, d = fspec.partition(":")
+    f = function_by_name(name, int(d))
+    compile_fn = compile_pebbling_rk if k == "d" else compile_pebbling
+    log = _assert_matches_scratch(compile_fn(dag, trivial_black_pebbling(dag), f))
+    assert log.refuted
+
+
+def test_measures_match_scratch_on_seeded_derivations():
+    d1 = dnf([[1, 2], [3]], k=2)
+    d2 = dnf([[-1], [-2], [4]], k=2)
+    cut = dnf([[3], [4]], k=2)
+    steps = (
+        Inference(cut, "cut", (1, 2)),
+        Erasure(1),
+        Inference(dnf([[3], [4], [5, 6]], k=2), "weak", (3,)),
+        Erasure(2),
+        Erasure(3),
+    )
+    log = _assert_matches_scratch(
+        Derivation(CnfFormula([]), 2, "syntactic", steps, assumptions=(d1, d2))
+    )
+    assert log.measures.formula_space == 3 and log.first_zero is None
+    # the seeded board is the peak when the steps only erase
+    log = _assert_matches_scratch(
+        Derivation(CnfFormula([]), 2, "syntactic", (Erasure(2), Erasure(1)), assumptions=(d1, d2))
+    )
+    assert (log.measures.formula_space, log.measures.total_space) == (2, 6)
+    assert (log.measures.variable_space, log.measures.max_terms) == (4, 3)
+    # seeded duplicates: one value, two ids
+    unit = dnf([[1]])
+    log = _assert_matches_scratch(
+        Derivation(
+            CnfFormula([[-1]]),
+            1,
+            "syntactic",
+            (Erasure(1), AxiomDownload(Clause([-1])), Inference(zero_formula(1), "cut", (2, 3))),
+            assumptions=(unit, unit),
+        )
+    )
+    assert unit in log.configs[1] and log.first_zero == 3
+    # a seeded zero is on the board before the first step
+    log = _assert_matches_scratch(
+        Derivation(
+            CnfFormula([[1]]),
+            1,
+            "syntactic",
+            (Erasure(1), AxiomDownload(Clause([1]))),
+            assumptions=(zero_formula(1),),
+        )
+    )
+    assert log.first_zero == 0 and log.refuted
+    assert zero_formula(1) not in log.configs[1]
+
+
+def test_measures_match_scratch_when_an_erased_value_has_a_twin():
+    f = CnfFormula([[1, 2], [-1], [-2]])
+    pair = KDnfFormula.from_clause(Clause([1, 2]))
+    steps = (
+        AxiomDownload(Clause([1, 2])),  # 1
+        AxiomDownload(Clause([1, 2])),  # 2: the same value again
+        AxiomDownload(Clause([-1])),  # 3
+        Erasure(1),  # the value stays through id 2
+        Inference(dnf([[2]]), "cut", (2, 3)),  # 4
+        Inference(dnf([[2]]), "weak", (4,)),  # 5: a twin made by inference
+        Erasure(2),  # now the value leaves
+        Erasure(4),
+        AxiomDownload(Clause([-2])),  # 6
+        Inference(zero_formula(1), "cut", (5, 6)),
+    )
+    log = _assert_matches_scratch(Derivation(f, 1, "syntactic", steps))
+    assert pair in log.configs[4] and pair not in log.configs[7]
+    assert dnf([[2]]) in log.configs[8]
+    assert log.configs[6] == {pair, dnf([[-1]]), dnf([[2]])}  # four live ids
+    assert log.measures.formula_space == 4  # {~1, 2, ~2, 0} at the end
+    assert log.measures.total_space == 4  # 1 v 2, ~1 and 2 count once each
+    assert log.measures.variable_space == 2
+    assert log.first_zero == len(steps)
+
+
+def test_measures_match_scratch_on_random_semantic_derivations():
+    rng = random.Random(2024)
+    universe = all_clauses_over(range(1, 5), max_width=2)
+    for trial in range(40):
+        k = 1 + trial % 2
+        f = CnfFormula(rng.sample(universe, 6))
+        config = Configuration()
+        steps = []
+        while len(steps) < 14:
+            roll = rng.random()
+            if roll < 0.35:
+                step = AxiomDownload(rng.choice(f.clauses))
+            elif roll < 0.6 and config.lines:
+                step = Erasure(rng.choice(sorted(config.lines)))
+            else:
+                width = rng.randint(0, 3)
+                terms = [
+                    [rng.choice([1, -1]) * v for v in rng.sample(range(1, 5), rng.randint(1, k))]
+                    for _ in range(width)
+                ]
+                step = Inference(dnf(terms, k=k), "sem", ())
+                if not implies(list(config.values()), [step.formula]):
+                    continue
+                if not step.formula.variables() <= f.variables() | frozenset().union(
+                    *(v.variables() for v in config.values())
+                ):
+                    continue
+            check_step(f, config, step, k, "semantic")
+            steps.append(step)
+        _assert_matches_scratch(Derivation(f, k, "semantic", tuple(steps)))
+
+
+def test_semantic_consequence_stays_over_board_and_formula_variables():
+    f = CnfFormula([[1], [-1]])
+    steps = (
+        Inference(dnf([[5], [1]]), "sem", ()),  # 5 is on the board only
+        Erasure(1),
+        Inference(dnf([[5], [1], [-1]]), "sem", (2,)),
+        Erasure(2),
+        Erasure(3),
+    )
+    seeded = (dnf([[5]]),)
+    _assert_matches_scratch(Derivation(f, 1, "semantic", steps, assumptions=seeded))
+    late = Inference(dnf([[5], [-1]]), "sem", ())  # 5 has left the board
+    with pytest.raises(RuleMismatchError, match="outside the board"):
+        replay(Derivation(f, 1, "semantic", steps + (late,), assumptions=seeded))
+
+
+def test_long_proof_measures_pinned():
+    from resspace.boolfunc import function_by_name
+    from resspace.compilers import compile_pebbling, compile_pebbling_rk, pebbling_formula
+    from resspace.graphs import make_graph
+    from resspace.pebbling import trivial_black_pebbling
+
+    dag = make_graph("pyramid", 8)
+    f = function_by_name("xor", 3)
+    deriv = compile_pebbling(dag, trivial_black_pebbling(dag), f)
+    assert check_refutation(pebbling_formula(dag, f).cnf, deriv) == MeasureReport(
+        length=10271,
+        axiom_downloads=2344,
+        formula_space=47,
+        total_space=170,
+        variable_space=30,
+        width=9,
+    )
+    dag = make_graph("pyramid", 10)
+    f = function_by_name("maj", 3)
+    deriv = compile_pebbling_rk(dag, trivial_black_pebbling(dag), f)
+    assert check_refutation(pebbling_formula(dag, f).cnf, deriv) == MeasureReport(
+        length=13758,
+        axiom_downloads=1521,
+        formula_space=51,
+        total_space=368,
+        variable_space=36,
+        max_terms=9,
+        max_formula_size=18,
+    )
+
+
+def test_replay_builds_configurations_on_first_read():
+    d = derive_implied_clause([Clause([1, 2]), Clause([-1, 2]), Clause([-2])], Clause())
+    log = replay(d)
+    assert "configs" not in vars(log)
+    configs = log.configs
+    assert vars(log)["configs"] is configs and log.configs is configs
+    assert len(configs) == len(d.steps) + 1 and configs[0] == frozenset()
+
+
+def test_step_error_messages():
+    f = CnfFormula([[1], [-1]])
+    with pytest.raises(NotAnAxiomError, match=r"^step 1: clause \(7,\) is not an axiom$"):
+        replay(Derivation(f, 1, "syntactic", (AxiomDownload(Clause([1])), AxiomDownload(Clause([7])))))
+    with pytest.raises(BadPremisesError, match=r"^step 0: erasing missing id 3$"):
+        replay(Derivation(f, 1, "syntactic", (Erasure(3),)))
+    config = Configuration()
+    with pytest.raises(NotAnAxiomError, match=r"^clause \(7,\) is not an axiom$"):
+        check_step(f, config, AxiomDownload(Clause([7])), 1, "syntactic")
+    with pytest.raises(BadPremisesError, match=r"^erasing missing id 3$"):
+        check_step(f, config, Erasure(3), 1, "syntactic")
+    with pytest.raises(BadPremisesError, match=r"^step 0: premise 9 not on the board$"):
+        check_step(f, config, Inference(zero_formula(1), "cut", (9, 9)), 1, "syntactic")
+    with pytest.raises(RuleMismatchError, match=r"^unknown step kind$"):
+        check_step(f, config, "step", 1, "syntactic")
