@@ -141,18 +141,30 @@ def trivial_black_pebbling(dag: Dag) -> tuple[Move, ...]:
 # exhaustive searches
 
 
-def _moves_from_bfs(states, parents, moves, end, n):
+def _run_bfs(bfs, dag: Dag, space_cap: int):
+    """(found, witness) from one of the accel BFS kernels; its move code
+    kind * n + (v - 1) names MOVE_KINDS[kind] on vertex v."""
+    n = dag.n
+    preds = [0] * n
+    for v in range(1, n + 1):
+        for u in dag.predecessors(v):
+            preds[v - 1] |= 1 << (u - 1)
+    target = 1 << (dag.sink - 1)
+    status, states, parents, moves, end = bfs(
+        n, preds, target, space_cap, get_cap("SEARCH_STATES")
+    )
+    if status == accel.OVERFLOW:
+        raise StateSpaceExceededError("visited-state budget exhausted")
+    if status == accel.EXHAUSTED:
+        return False, None
     out = []
     i = end
     while parents[i] >= 0:
-        mv = int(moves[i])
-        if mv < n:
-            out.append(Move("pb", mv + 1))
-        else:
-            out.append(Move("rb", mv - n + 1))
+        kind, v = divmod(int(moves[i]), n)
+        out.append(Move(MOVE_KINDS[kind], v + 1))
         i = int(parents[i])
     out.reverse()
-    return tuple(out)
+    return True, tuple(out)
 
 
 def _black_search(dag: Dag, space_cap: int):
@@ -162,41 +174,7 @@ def _black_search(dag: Dag, space_cap: int):
         raise StateSpaceExceededError(
             f"{n} vertices exceed black search cap {get_cap('BLACK_SEARCH_VERTICES')}"
         )
-    preds = [0] * n
-    for v in range(1, n + 1):
-        for u in dag.predecessors(v):
-            preds[v - 1] |= 1 << (u - 1)
-    target = 1 << (dag.sink - 1)
-    status, states, parents, moves, end = accel.black_bfs(
-        n, preds, target, space_cap, get_cap("SEARCH_STATES")
-    )
-    if status == accel.OVERFLOW:
-        raise StateSpaceExceededError("visited-state budget exhausted")
-    if status == accel.EXHAUSTED:
-        return False, None
-    return True, _moves_from_bfs(states, parents, moves, end, n)
-
-
-_BW_MOVE_ORDER = {"pb": 0, "rb": 1, "pw": 2, "rw": 3}
-
-
-def _bw_successors(dag: Dag, config: PebbleConfig, space_cap: int):
-    """Legal successor configurations in deterministic move order."""
-    on = config.pebbled
-    out = []
-    room = len(on) < space_cap
-    for v in range(1, dag.n + 1):
-        if room and v not in on and all(u in on for u in dag.predecessors(v)):
-            out.append((Move("pb", v), PebbleConfig(config.black | {v}, config.white)))
-    for v in sorted(config.black):
-        out.append((Move("rb", v), PebbleConfig(config.black - {v}, config.white)))
-    for v in range(1, dag.n + 1):
-        if room and v not in on:
-            out.append((Move("pw", v), PebbleConfig(config.black, config.white | {v})))
-    for v in sorted(config.white):
-        if all(u in on for u in dag.predecessors(v)):
-            out.append((Move("rw", v), PebbleConfig(config.black, config.white - {v})))
-    return out
+    return _run_bfs(accel.black_bfs, dag, space_cap)
 
 
 def _bw_search(dag: Dag, space_cap: int):
@@ -206,33 +184,7 @@ def _bw_search(dag: Dag, space_cap: int):
             f"{dag.n} vertices exceed black-white search cap "
             f"{get_cap('BW_SEARCH_VERTICES')}"
         )
-    target = PebbleConfig({dag.sink}, ())
-    start = EMPTY_CONFIG
-    if start == target:  # unreachable for n >= 1, kept for symmetry
-        return True, ()
-    state_cap = get_cap("SEARCH_STATES")
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for config in frontier:
-            for move, succ in _bw_successors(dag, config, space_cap):
-                if succ in parent:
-                    continue
-                parent[succ] = (config, move)
-                if len(parent) > state_cap:
-                    raise StateSpaceExceededError("visited-state budget exhausted")
-                if succ == target:
-                    out = []
-                    cur = succ
-                    while parent[cur] is not None:
-                        cur, mv = parent[cur][0], parent[cur][1]
-                        out.append(mv)
-                    out.reverse()
-                    return True, tuple(out)
-                nxt.append(succ)
-        frontier = nxt
-    return False, None
+    return _run_bfs(accel.bw_bfs, dag, space_cap)
 
 
 def search_min_space(dag: Dag, mode: str = "black"):

@@ -53,6 +53,7 @@ from .errors import (
     AuthoritarianFunctionError,
     CapExceededError,
     InvalidInputError,
+    InvalidParamError,
 )
 from .logic import Clause, CnfFormula, KDnfFormula
 from .pebbling import Move
@@ -134,6 +135,12 @@ class Projector:
         members = []
         for formula in formulas:
             if isinstance(formula, KDnfFormula) and mode == "subset":
+                width = formula.max_term_width()
+                if width > 1:
+                    raise InvalidParamError(
+                        f"subset mode projects clauses, but a line has a term of "
+                        f"width {width}; project k-DNF lines with --mode whole_set"
+                    )
                 formula = formula.as_clause()
             members.append(formula)
         members = sorted(set(members))

@@ -25,12 +25,51 @@ def _clause_universe(max_vars):
     return masks, var_masks, 1 << max_vars
 
 
-@pytest.mark.parametrize("max_vars, max_cubes", [(2, 4), (3, 8)])
+def _reference_covers(masks, npoints, max_cubes):
+    """The cover walk with each chosen cube's private region rebuilt from
+    scratch at every node: the sorted covers in DFS order."""
+    full_mask = (1 << npoints) - 1
+    covers = []
+
+    def private_ok(chosen):
+        for i in chosen:
+            rest = 0
+            for j in chosen:
+                if j != i:
+                    rest |= masks[j]
+            if masks[i] & ~rest & full_mask == 0:
+                return False
+        return True
+
+    def rec(covered, chosen, forbidden):
+        if covered == full_mask:
+            covers.append(tuple(sorted(chosen)))
+            return
+        if len(chosen) >= max_cubes:
+            return
+        p = ((covered + 1) & ~covered).bit_length() - 1
+        tried = []
+        for c in (i for i, m in enumerate(masks) if (m >> p) & 1):
+            if c in forbidden:
+                continue
+            chosen.append(c)
+            if private_ok(chosen):
+                rec(covered | masks[c], chosen, forbidden | set(tried))
+            chosen.pop()
+            tried.append(c)
+
+    rec(0, [], frozenset())
+    return covers
+
+
+@pytest.mark.parametrize("max_vars, max_cubes", [(2, 4), (3, 8), (3, 5), (4, 5)])
 def test_cover_enumeration_and_scan_agree(max_vars, max_cubes):
-    # both wrappers visit the same DFS: the enumerated covers must reproduce
-    # every figure the scan reports
+    # the enumeration is the reference walk's list, in its order; both
+    # wrappers visit the same DFS, so the covers must reproduce every figure
+    # the scan reports
     masks, var_masks, npoints = _clause_universe(max_vars)
     covers = accel.cover_enumeration(masks, npoints, max_cubes)
+    assert covers == _reference_covers(masks, npoints, max_cubes)
     n, violations, counts, max_vars_by_size = accel.cover_scan(
         masks, var_masks, npoints, max_cubes
     )

@@ -243,6 +243,27 @@ def test_project_command(tmp_path, capsys):
     assert "{0}" in out  # the final configurations project the empty clause
 
 
+def test_project_kdnf_proof_in_subset_mode_exits_2(tmp_path, capsys):
+    # subset mode takes clauses; a k=d proof holds wider terms
+    from resspace.compilers import pebbling_formula
+    from resspace.formats import cnf_to_dimacs
+    from resspace.graphs import path_graph
+
+    base = tmp_path / "base.cnf"
+    base.write_text(cnf_to_dimacs(pebbling_formula(path_graph(3)).base))
+    proof = tmp_path / "p.proof"
+    run(["compile", "--graph", "path:3", "--f", "maj:3", "--k", "d", "--out", str(proof)])
+    argv = ["project", "--base", str(base), "--f", "maj:3", "--proof", str(proof)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error [INVALID_PARAM]" in err
+    assert "--mode whole_set" in err
+    assert "Traceback" not in err
+    assert run(argv + ["--mode", "whole_set"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("{0}")
+
+
 def test_check_bad_dimacs_literal_is_a_format_error(tmp_path, capsys):
     out = tmp_path / "peb"
     run(["compile", "--graph", "path:2", "--f", "identity", "--out", str(out)])

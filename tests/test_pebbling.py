@@ -1,17 +1,25 @@
 import pytest
 
+from resspace.caps import get_cap
 from resspace.errors import (
     IllegalMoveError,
     IncompletePebblingError,
     InfeasibleError,
     StateSpaceExceededError,
 )
-from resspace.graphs import bit_reversal_graph, make_graph, path_graph, pyramid_graph
+from resspace.graphs import (
+    binary_tree_graph,
+    bit_reversal_graph,
+    make_graph,
+    path_graph,
+    pyramid_graph,
+)
 from resspace.pebbling import (
     EMPTY_CONFIG,
     Move,
     PebbleConfig,
     apply_move,
+    _bw_search,
     replay,
     search_min_space,
     search_min_time_given_space,
@@ -195,3 +203,109 @@ def test_min_time_at_least_longest_path():
             depth[v] = 1 + max((depth[u] for u in preds), default=0)
         t, _ = search_min_time_given_space(g, g.n, "black")
         assert t >= depth[g.sink]
+
+
+# ---------------------------------------------------------------------------
+# black-white search against a frozenset BFS
+#
+# The reference expands each configuration's legal moves in the order pb, rb,
+# pw, rw, each by vertex, records the first move reaching each configuration
+# and stops at the target.  The search must return its witness exactly, and
+# must hit the visited-state budget exactly where it does.
+
+
+def _reference_successors(dag, config, space_cap):
+    on = config.pebbled
+    room = len(on) < space_cap
+    ready = {v: all(u in on for u in dag.predecessors(v)) for v in range(1, dag.n + 1)}
+    for v in range(1, dag.n + 1):
+        if room and v not in on and ready[v]:
+            yield Move("pb", v), PebbleConfig(config.black | {v}, config.white)
+    for v in sorted(config.black):
+        yield Move("rb", v), PebbleConfig(config.black - {v}, config.white)
+    for v in range(1, dag.n + 1):
+        if room and v not in on:
+            yield Move("pw", v), PebbleConfig(config.black, config.white | {v})
+    for v in sorted(config.white):
+        if ready[v]:
+            yield Move("rw", v), PebbleConfig(config.black, config.white - {v})
+
+
+def _reference_bw_search(dag, space_cap):
+    """(found, witness); raises StateSpaceExceededError once the visited set
+    holds more than SEARCH_STATES configurations."""
+    target = PebbleConfig({dag.sink}, ())
+    state_cap = get_cap("SEARCH_STATES")
+    parent = {EMPTY_CONFIG: None}
+    frontier = [EMPTY_CONFIG]
+    while frontier:
+        nxt = []
+        for config in frontier:
+            for move, succ in _reference_successors(dag, config, space_cap):
+                if succ in parent:
+                    continue
+                parent[succ] = (config, move)
+                if len(parent) > state_cap:
+                    raise StateSpaceExceededError("visited-state budget exhausted")
+                if succ == target:
+                    out = []
+                    while parent[succ] is not None:
+                        succ, move = parent[succ]
+                        out.append(move)
+                    return True, tuple(reversed(out))
+                nxt.append(succ)
+        frontier = nxt
+    return False, None
+
+
+_BW_ORACLE_GRAPHS = {
+    "pyramid:1": pyramid_graph(1),
+    "pyramid:2": pyramid_graph(2),
+    "pyramid:3": pyramid_graph(3),
+    "path:4": path_graph(4),
+    "bit_reversal:1": bit_reversal_graph(1),
+    "bit_reversal:2": bit_reversal_graph(2),
+    "binary_tree:2": binary_tree_graph(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BW_ORACLE_GRAPHS))
+def test_bw_search_matches_reference(name):
+    g = _BW_ORACLE_GRAPHS[name]
+    for s in range(1, g.n + 1):
+        found, want = _reference_bw_search(g, s)
+        if not found:
+            with pytest.raises(InfeasibleError):
+                search_min_time_given_space(g, s, "black_white")
+            continue
+        assert search_min_time_given_space(g, s, "black_white") == (len(want), want)
+        assert validate_pebbling(g, want).space <= s
+
+
+def _bw_outcome(g, s, cap, search, monkeypatch):
+    monkeypatch.setenv("RESSPACE_UNSAFE_SEARCH_STATES", str(cap))
+    try:
+        return search(g, s)
+    except StateSpaceExceededError:
+        return "over"
+
+
+@pytest.mark.parametrize("name", ["pyramid:2", "bit_reversal:1"])
+def test_bw_search_state_budget_matches_reference(name, monkeypatch):
+    # per budget, bisect the smallest cap under which the reference fits;
+    # the search must overflow below it and agree from it on
+    g = _BW_ORACLE_GRAPHS[name]
+    for s in range(1, g.n + 1):
+        lo, hi = 0, 3**g.n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _bw_outcome(g, s, mid, _reference_bw_search, monkeypatch) == "over":
+                lo = mid
+            else:
+                hi = mid
+        assert lo > 0
+        for cap in sorted({1, lo // 2, lo, hi, hi + 1}):
+            want = _bw_outcome(g, s, cap, _reference_bw_search, monkeypatch)
+            assert (want == "over") == (cap <= lo)
+            got = _bw_outcome(g, s, cap, _bw_search, monkeypatch)
+            assert got == want, (s, cap)
