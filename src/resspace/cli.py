@@ -56,20 +56,26 @@ from .formats import kdnf_set_from_text
 USAGE_EXIT, FAIL_EXIT, CAP_EXIT = 2, 1, 3
 
 
+def _parse_spec(spec: str, form: str, int_head: bool = False):
+    """Split a ``head:tail`` value whose tail (and head, if ``int_head``) is
+    an integer; anything else is a usage error naming the expected form."""
+    head, sep, tail = spec.partition(":")
+    try:
+        if sep:
+            return (int(head) if int_head else head), int(tail)
+    except ValueError:
+        pass
+    raise InvalidParamError(f"{spec!r} is not of the form {form}")
+
+
 def _parse_graph(spec: str):
-    family, _, param = spec.partition(":")
-    if not param:
-        raise InvalidParamError(f"graph spec {spec!r} needs family:param")
-    return make_graph(family, int(param))
+    return make_graph(*_parse_spec(spec, "family:param"))
 
 
 def _parse_function(spec: str):
-    name, _, d = spec.partition(":")
-    if name in ("identity", "id"):
+    if spec.partition(":")[0] in ("identity", "id"):
         return function_by_name("identity")
-    if not d:
-        raise InvalidParamError(f"function spec {spec!r} needs name:arity")
-    return function_by_name(name, int(d))
+    return function_by_name(*_parse_spec(spec, "name:arity"))
 
 
 def _indegree(dag):
@@ -216,9 +222,9 @@ def cmd_minunsat(args):
         print("minimally-unsatisfiable" if verdict else "not-minimal")
         return 0 if verdict else FAIL_EXIT
     if args.construct:
-        k, _, n = args.construct.partition(":")
-        formulas = block_substituted_min_unsat(int(k), int(n))
-        text = kdnf_set_to_text(formulas, k=int(k))
+        k, n = _parse_spec(args.construct, "k:n", int_head=True)
+        formulas = block_substituted_min_unsat(k, n)
+        text = kdnf_set_to_text(formulas, k=k)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
@@ -283,8 +289,7 @@ def cmd_pipeline(args):
 def cmd_tradeoff(args):
     dag = _parse_graph(args.graph)
     f = _parse_function(args.f)
-    lo, _, hi = args.space.partition(":")
-    lo, hi = int(lo), int(hi)
+    lo, hi = _parse_spec(args.space, "lo:hi", int_head=True)
     if hi < lo:
         raise InvalidParamError("space sweep must be lo:hi with lo <= hi")
     rows = []

@@ -36,10 +36,6 @@ def neg(lit: int) -> int:
     return -lit
 
 
-def var_of(lit: int) -> int:
-    return abs(lit)
-
-
 def _lit_key(lit: int):
     # ascending variable id, negative before positive at equal id
     return (abs(lit), lit > 0)
@@ -61,8 +57,13 @@ def _check_lits(lits):
 
 
 @dataclass(frozen=True, order=True)
-class Clause:
-    """A disjunction of literals, stored as a canonical literal tuple."""
+class _Literals:
+    """A canonical literal tuple: the shared body of clauses and terms.
+
+    Clauses and terms are plain subclasses, so dataclass equality and order
+    still compare only within one class: a clause never equals a term with
+    the same literals, and ordering a clause against a term raises TypeError.
+    """
 
     lits: tuple[int, ...]
 
@@ -82,11 +83,11 @@ class Clause:
         seen = set(self.lits)
         return any(-l in seen for l in self.lits)
 
-    def union(self, other: "Clause") -> "Clause":
-        return Clause(self.lits + other.lits)
+    def union(self, other):
+        return type(self)(self.lits + other.lits)
 
-    def without(self, lit: int) -> "Clause":
-        return Clause(l for l in self.lits if l != lit)
+    def without(self, lit: int):
+        return type(self)(l for l in self.lits if l != lit)
 
     def __contains__(self, lit: int) -> bool:
         return lit in self.lits
@@ -96,50 +97,20 @@ class Clause:
 
     def __len__(self):
         return len(self.lits)
+
+
+class Clause(_Literals):
+    """A disjunction of literals, stored as a canonical literal tuple."""
 
 
 EMPTY_CLAUSE = Clause()
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class Term(_Literals):
     """A conjunction of literals; the empty term is satisfied by everything."""
-
-    lits: tuple[int, ...]
-
-    def __init__(self, lits=()):
-        lits = tuple(lits)
-        _check_lits(lits)
-        object.__setattr__(self, "lits", canonical_literals(lits))
-
-    @property
-    def width(self) -> int:
-        return len(self.lits)
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self.lits)
-
-    def is_trivial(self) -> bool:
-        seen = set(self.lits)
-        return any(-l in seen for l in self.lits)
-
-    def union(self, other: "Term") -> "Term":
-        return Term(self.lits + other.lits)
-
-    def without(self, lit: int) -> "Term":
-        return Term(l for l in self.lits if l != lit)
 
     def is_subterm_of(self, other: "Term") -> bool:
         return set(self.lits) <= set(other.lits)
-
-    def __contains__(self, lit: int) -> bool:
-        return lit in self.lits
-
-    def __iter__(self):
-        return iter(self.lits)
-
-    def __len__(self):
-        return len(self.lits)
 
 
 EMPTY_TERM = Term()
@@ -284,14 +255,6 @@ class Restriction:
     def variables(self) -> frozenset[int]:
         return frozenset(abs(l) for l in self.lits)
 
-    def value_of(self, var: int):
-        """True/False if var is fixed, None otherwise."""
-        if var in self.lits:
-            return True
-        if -var in self.lits:
-            return False
-        return None
-
     def satisfies(self, lit: int) -> bool:
         return lit in self.lits
 
@@ -300,9 +263,6 @@ class Restriction:
 
     def extend(self, lits) -> "Restriction":
         return Restriction(self.lits + tuple(lits))
-
-    def negate(self) -> "Restriction":
-        return Restriction(tuple(-l for l in self.lits))
 
     def covers(self, variables) -> bool:
         return set(variables) <= self.variables()

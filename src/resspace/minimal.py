@@ -141,17 +141,9 @@ def shrink_witness_restriction(formulas, idx: int, term: Term, lit: int, goal=EM
 # exhaustive enumeration
 
 
-def _clause_mask(clause, max_vars):
-    """Assignments (bit-indexed) falsifying the clause."""
-    mask = 0
-    for bits in range(1 << max_vars):
-        if all(((bits >> (abs(l) - 1)) & 1) == (0 if l > 0 else 1) for l in clause.lits):
-            mask |= 1 << bits
-    return mask
-
-
 def _term_mask(term, max_vars):
-    """Assignments satisfying the term."""
+    """Assignments (bit-indexed) satisfying the term.  A clause is falsified
+    exactly where the term of its negated literals is satisfied."""
     mask = 0
     for bits in range(1 << max_vars):
         if all(((bits >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0) for l in term.lits):
@@ -170,28 +162,44 @@ def _gap_free_mask(vm):
     return vm & (vm + 1) == 0  # used variables form a prefix 1..v
 
 
-def _canonical_set(formulas, k):
-    """Lexicographically least representative under renamings of the used
-    variables (which must be gap-free)."""
-    used = sorted(set().union(*(set(f.variables()) for f in formulas), set()))
-    best = None
-    for perm in itertools.permutations(range(1, len(used) + 1)):
-        rename = dict(zip(used, perm))
-        cand = tuple(
-            sorted(
-                KDnfFormula(
-                    [
-                        Term([rename[abs(l)] * (1 if l > 0 else -1) for l in t.lits])
-                        for t in f.terms
-                    ],
-                    k=k,
-                )
-                for f in formulas
-            )
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+def _renamed_lits(lits, perm):
+    """Literals with variable v renamed to perm[v - 1], signs kept."""
+    return [perm[abs(l) - 1] * (1 if l > 0 else -1) for l in lits]
+
+
+def _canonical_classes(universe, hits, var_masks, rename):
+    """The classes of the hits under renaming of the used variables, each as
+    its least sorted index tuple, sorted and deduplicated.
+
+    A hit is a tuple of universe indices; hits whose used variables are not
+    a prefix 1..v are skipped.  ``rename(item, perm)`` maps an item through
+    a permutation of 1..v and stays inside the universe.  The universe is
+    sorted in output order, so the least index tuple is the least item
+    tuple.  An item's images are computed on first use only.
+    """
+    index_of = {item: i for i, item in enumerate(universe)}
+    perms = {}
+    images = {}  # (v, i) -> index of item i under each permutation of 1..v
+    classes = set()
+    for hit in hits:
+        vm = 0
+        for i in hit:
+            vm |= var_masks[i]
+        if not _gap_free_mask(vm):
+            continue
+        v = vm.bit_length()
+        if v not in perms:
+            perms[v] = list(itertools.permutations(range(1, v + 1)))
+        rows = []
+        for i in hit:
+            row = images.get((v, i))
+            if row is None:
+                row = images[v, i] = [
+                    index_of[rename(universe[i], p)] for p in perms[v]
+                ]
+            rows.append(row)
+        classes.add(min(tuple(sorted(col)) for col in zip(*rows)))
+    return sorted(classes)
 
 
 def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None):
@@ -206,6 +214,10 @@ def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None
     each; prefixes must stay satisfiable and every added formula must
     strictly shrink the joint satisfying set.
     """
+    if k < 1:
+        raise InvalidParamError(f"k must be positive, got {k}")
+    if max_vars < 0:
+        raise InvalidParamError(f"max_vars must be non-negative, got {max_vars}")
     if max_vars > get_cap("ENUM_VARS"):
         raise CapExceededError(f"max_vars {max_vars} exceeds cap")
     if max_formulas > get_cap("ENUM_FORMULAS"):
@@ -219,47 +231,20 @@ def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None
     yield from _enumerate_kdnf(k, max_vars, max_formulas, max_terms)
 
 
-def _enumerate_cnf(max_vars, max_formulas):
+def _clause_universe(max_vars):
+    """All clauses over 1..max_vars in canonical order, with the masks of
+    the assignments each falsifies and of the variables each uses."""
     universe = all_clauses_over(range(1, max_vars + 1))
-    masks = [_clause_mask(c, max_vars) for c in universe]
-    var_masks = [_var_mask(c) for c in universe]
+    masks = [_term_mask(Term(-l for l in c.lits), max_vars) for c in universe]
+    return universe, masks, [_var_mask(c) for c in universe]
+
+
+def _enumerate_cnf(max_vars, max_formulas):
+    universe, masks, var_masks = _clause_universe(max_vars)
     covers = accel.cover_enumeration(masks, 1 << max_vars, max_formulas)
-
-    # canonicalize covers as index tuples: precompute, per used-variable
-    # count, how each variable permutation permutes the clause universe
-    index_of = {c: i for i, c in enumerate(universe)}
-    perm_maps = {}
-    for v_used in range(1, max_vars + 1):
-        maps = []
-        for perm in itertools.permutations(range(1, v_used + 1)):
-            rename = dict(zip(range(1, v_used + 1), perm))
-            m = [0] * len(universe)
-            for i, c in enumerate(universe):
-                if c.variables() <= set(range(1, v_used + 1)):
-                    renamed = Clause(
-                        [rename[abs(l)] * (1 if l > 0 else -1) for l in c.lits]
-                    )
-                    m[i] = index_of[renamed]
-            maps.append(m)
-        perm_maps[v_used] = maps
-
-    seen = set()
-    results = []
-    for cover in covers:
-        vm = 0
-        for i in cover:
-            vm |= var_masks[i]
-        if not _gap_free_mask(vm):
-            continue
-        v_used = vm.bit_length()
-        best = min(
-            tuple(sorted(pm[i] for i in cover)) for pm in perm_maps[v_used]
-        )
-        if best in seen:
-            continue
-        seen.add(best)
-        results.append(best)
-    for best in sorted(results):
+    for best in _canonical_classes(
+        universe, covers, var_masks, lambda c, p: Clause(_renamed_lits(c.lits, p))
+    ):
         yield tuple(KDnfFormula.from_clause(universe[i]) for i in best)
 
 
@@ -270,19 +255,13 @@ def scan_min_unsat_cnf(max_vars: int, max_formulas: int):
     violation is a set whose variable count reaches its clause count."""
     if max_vars > get_cap("ENUM_VARS"):
         raise CapExceededError(f"max_vars {max_vars} exceeds cap")
-    universe = all_clauses_over(range(1, max_vars + 1))
-    masks = [_clause_mask(c, max_vars) for c in universe]
-    var_masks = [_var_mask(c) for c in universe]
+    _, masks, var_masks = _clause_universe(max_vars)
     return accel.cover_scan(masks, var_masks, 1 << max_vars, max_formulas)
 
 
 def _all_terms(k, max_vars):
-    out = []
-    for w in range(1, k + 1):
-        for combo in itertools.combinations(range(1, max_vars + 1), w):
-            for signs in itertools.product((1, -1), repeat=w):
-                out.append(Term([s * v for s, v in zip(signs, combo)]))
-    return sorted(set(out))
+    """All nontrivial terms of width 1..k over 1..max_vars, in term order."""
+    return [Term(c.lits) for c in all_clauses_over(range(1, max_vars + 1), max_width=k)]
 
 
 def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
@@ -313,11 +292,12 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
             formulas.append((KDnfFormula(combo, k=k), sat))
     formulas.sort(key=lambda fs: fs[0].terms)
 
+    universe = [f for f, _ in formulas]
     sats = [s for _, s in formulas]
-    var_masks = [_var_mask(f) for f, _ in formulas]
+    var_masks = [_var_mask(f) for f in universe]
     req_masks = []  # per formula, per (term, literal) shrink: the mask a
     # joint assignment of the other formulas must intersect
-    for f, _ in formulas:
+    for f in universe:
         reqs = []
         for t in f.terms:
             rest = 0
@@ -328,20 +308,16 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
                 reqs.append(rest | shrunk_mask[(t, lit)])
         req_masks.append(tuple(reqs))
 
-    hits = _kdnf_scan_python(sats, var_masks, req_masks, max_formulas, full)
+    hits = _kdnf_scan(sats, var_masks, req_masks, max_formulas, full)
 
-    seen = set()
-    results = []
-    for idxs in hits:
-        canon = _canonical_set([formulas[i][0] for i in idxs], k)
-        if canon not in seen:
-            seen.add(canon)
-            results.append(canon)
-    for canon in sorted(results):
-        yield canon
+    def rename(f, perm):
+        return KDnfFormula([Term(_renamed_lits(t.lits, perm)) for t in f.terms], k=k)
+
+    for best in _canonical_classes(universe, hits, var_masks, rename):
+        yield tuple(universe[i] for i in best)
 
 
-def _kdnf_scan_python(sats, var_masks, req_masks, max_formulas, full):
+def _kdnf_scan(sats, var_masks, req_masks, max_formulas, full):
     def shrink_ok(members):
         for a in members:
             others = full

@@ -6,12 +6,12 @@ import pytest
 
 from resspace import accel
 from resspace.errors import CapExceededError
-from resspace.logic import KDnfFormula, all_clauses_over
+from resspace import minimal
+from resspace.logic import KDnfFormula, all_assignments, all_clauses_over, evaluate
 from resspace.minimal import (
     _all_terms,
-    _clause_mask,
     _gap_free_mask,
-    _kdnf_scan_python,
+    _kdnf_scan,
     _term_mask,
     _var_mask,
     is_minimally_unsatisfiable,
@@ -19,10 +19,21 @@ from resspace.minimal import (
 
 
 def _clause_universe(max_vars):
-    universe = all_clauses_over(range(1, max_vars + 1))
-    masks = [_clause_mask(c, max_vars) for c in universe]
-    var_masks = [_var_mask(c) for c in universe]
+    _, masks, var_masks = minimal._clause_universe(max_vars)
     return masks, var_masks, 1 << max_vars
+
+
+def test_clause_universe_masks_are_falsifying_assignments():
+    # bit b of a clause's mask is set iff the assignment with bits b
+    # falsifies it; bit v-1 of its variable mask iff it mentions v
+    max_vars = 3
+    universe, masks, var_masks = minimal._clause_universe(max_vars)
+    assert universe == all_clauses_over(range(1, max_vars + 1))
+    alphas = list(all_assignments(range(1, max_vars + 1)))
+    for c, mask, vm in zip(universe, masks, var_masks):
+        want = sum(1 << b for b, alpha in enumerate(alphas) if not evaluate(c, alpha))
+        assert mask == want
+        assert vm == sum(1 << (v - 1) for v in c.variables())
 
 
 def _reference_covers(masks, npoints, max_cubes):
@@ -138,7 +149,7 @@ def test_kdnf_scan_fallback_agrees():
                 reqs.append(rest | _term_mask(t.without(lit), max_vars))
         req_masks.append(tuple(reqs))
 
-    got = _kdnf_scan_python(sats, var_masks, req_masks, 3, full)
+    got = _kdnf_scan(sats, var_masks, req_masks, 3, full)
 
     want = []
     for size in (2, 3):

@@ -1,6 +1,8 @@
 import functools
 import json
 
+import pytest
+
 from resspace import accel
 from resspace.cli import main
 
@@ -289,3 +291,35 @@ def test_check_bad_erasure_id_is_a_format_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [FORMAT]: line 3" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pebble", "--graph", "pyramid:x"],
+        ["pebble", "--graph", "pyramid"],
+        ["gen", "--graph", "path:2", "--f", "xor:x", "--out", "unused"],
+        ["gen", "--graph", "path:2", "--f", "xor", "--out", "unused"],
+        ["tradeoff", "--graph", "path:3", "--space", "a:b"],
+        ["tradeoff", "--graph", "path:3", "--space", "3"],
+        ["minunsat", "--construct", "2:x"],
+        ["minunsat", "--construct", "2"],
+    ],
+)
+def test_malformed_spec_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error [INVALID_PARAM]" in err
+    assert "is not of the form" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--k", "0"], ["--k", "-1"], ["--max-vars", "-1"]]
+)
+def test_minunsat_out_of_range_param_is_a_usage_error(flags, capsys):
+    assert run(["minunsat"] + flags) == 2
+    captured = capsys.readouterr()
+    assert "error [INVALID_PARAM]" in captured.err
+    assert "found" not in captured.err
+    assert captured.out == ""

@@ -41,6 +41,22 @@ def test_clause_canonical_order():
     assert not Clause([1, -2]).is_trivial()
 
 
+def test_clause_and_term_never_compare_equal_or_ordered():
+    # one shared base, yet a clause and a term over the same literals stay
+    # distinct and unordered against each other
+    c, t = Clause([1, -2]), Term([1, -2])
+    assert c.lits == t.lits
+    assert c != t and t != c
+    assert len({c, t}) == 2
+    with pytest.raises(TypeError):
+        c < t
+    with pytest.raises(TypeError):
+        sorted([c, t])
+    assert repr(c) == "Clause(lits=(1, -2))" and repr(t) == "Term(lits=(1, -2))"
+    assert type(c.union(Clause([3]))) is Clause
+    assert type(t.without(1)) is Term
+
+
 def test_term_trivial():
     assert Term([1, -1, 2]).is_trivial()
     assert not Term([1, 2]).is_trivial()

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from resspace.errors import CapExceededError, NotMinimalError
+from resspace.errors import CapExceededError, InvalidParamError, NotMinimalError
 from resspace.logic import (
     Clause,
     CnfFormula,
@@ -12,7 +13,9 @@ from resspace.logic import (
     restrict,
 )
 from resspace.minimal import (
-    _canonical_set,
+    _canonical_classes,
+    _clause_universe,
+    _renamed_lits,
     block_substituted_min_unsat,
     enumerate_min_unsat,
     is_minimally_unsatisfiable,
@@ -25,6 +28,29 @@ from resspace.minimal import (
 
 def clauses_as_set(clauses):
     return [KDnfFormula.from_clause(Clause(c)) for c in clauses]
+
+
+def _canonical_set(items, k=None):
+    """Reference canonical form, built from scratch: the least sorted image
+    of the items under every renaming of their used variables (which must
+    be gap-free).  Items are clauses when k is None, else k-DNFs."""
+
+    def renamed(item, rename):
+        def lits(e):
+            return [rename[abs(l)] * (1 if l > 0 else -1) for l in e.lits]
+
+        if k is None:
+            return Clause(lits(item))
+        return KDnfFormula([Term(lits(t)) for t in item.terms], k=k)
+
+    used = sorted(set().union(*(set(f.variables()) for f in items), set()))
+    best = None
+    for perm in itertools.permutations(range(1, len(used) + 1)):
+        rename = dict(zip(used, perm))
+        cand = tuple(sorted(renamed(f, rename) for f in items))
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def test_eq23_minimal():
@@ -174,6 +200,58 @@ def test_enumerate_kdnf_oracle_agreement():
     assert got
     for s in got:
         assert is_minimally_unsatisfiable(list(s))
+
+
+@pytest.mark.parametrize(
+    "caps, count",
+    [((1, 3, 5), 109), ((2, 3, 2, 3), 21), ((2, 3, 3, 2), 79), ((2, 4, 3, 2), 202)],
+)
+def test_enumeration_yields_each_class_once_in_canonical_form(caps, count):
+    # every yielded set is its own reference canonical form, and the sets
+    # strictly ascend, so no renaming class appears twice; k=1 sets are in
+    # clause order, which is not the order of their 1-DNF views
+    k, max_vars, max_formulas, *max_terms = caps
+    got = list(enumerate_min_unsat(k, max_vars, max_formulas, *max_terms))
+    if k == 1:
+        got = [tuple(f.as_clause() for f in s) for s in got]
+    assert len(got) == count
+    for s in got:
+        assert _canonical_set(s, None if k == 1 else k) == s
+    assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_canonical_classes_match_reference_on_random_hits():
+    # arbitrary clause sets, gap-free or not and mostly satisfiable: one
+    # class per distinct reference canonical form, as least index tuples
+    universe, _, var_masks = _clause_universe(4)
+    index_of = {c: i for i, c in enumerate(universe)}
+    rng = random.Random(7)
+    hits = [
+        tuple(sorted(rng.sample(range(len(universe)), rng.randint(1, 4))))
+        for _ in range(400)
+    ]
+    got = _canonical_classes(
+        universe, hits, var_masks, lambda c, p: Clause(_renamed_lits(c.lits, p))
+    )
+    want = set()
+    for hit in hits:
+        vm = 0
+        for i in hit:
+            vm |= var_masks[i]
+        if vm & (vm + 1) == 0:
+            canon = _canonical_set([universe[i] for i in hit])
+            want.add(tuple(index_of[c] for c in canon))
+    assert 0 < len(want) < len(hits)
+    assert got == sorted(want)
+
+
+def test_enumerate_rejects_nonpositive_k_and_negative_max_vars():
+    for k in (0, -1):
+        with pytest.raises(InvalidParamError):
+            list(enumerate_min_unsat(k, 3, 4))
+    for k in (1, 2):
+        with pytest.raises(InvalidParamError):
+            list(enumerate_min_unsat(k, -1, 3, 2))
 
 
 def test_enumeration_caps():
