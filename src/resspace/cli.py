@@ -232,10 +232,11 @@ def cmd_minunsat(args):
         else:
             sys.stdout.write(text)
         return 0
+    max_formulas = args.max_formulas
+    if max_formulas is None:
+        max_formulas = 4 if args.k == 1 else 3
     count = 0
-    for s in enumerate_min_unsat(
-        args.k, args.max_vars, args.max_formulas, args.max_terms
-    ):
+    for s in enumerate_min_unsat(args.k, args.max_vars, max_formulas, args.max_terms):
         sys.stdout.write(kdnf_set_to_text(list(s), k=args.k))
         count += 1
     print(f"c found {count} sets", file=sys.stderr)
@@ -416,7 +417,11 @@ def build_parser():
     p = sub.add_parser("minunsat", help="minimal unsatisfiability tools")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--max-vars", type=int, default=3)
-    p.add_argument("--max-formulas", type=int, default=4)
+    p.add_argument(
+        "--max-formulas",
+        type=int,
+        help="largest set to enumerate (default: 4 for --k 1, 3 for --k 2 or more)",
+    )
     p.add_argument("--max-terms", type=int, default=None)
     p.add_argument("--check")
     p.add_argument("--construct")

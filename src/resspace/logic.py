@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import attrgetter
 
 from .caps import get_cap
 from .errors import (
@@ -36,14 +37,13 @@ def neg(lit: int) -> int:
     return -lit
 
 
-def _lit_key(lit: int):
-    # ascending variable id, negative before positive at equal id
-    return (abs(lit), lit > 0)
-
-
 def canonical_literals(lits) -> tuple[int, ...]:
-    """Deduplicate and sort literals into canonical order."""
-    return tuple(sorted(set(lits), key=_lit_key))
+    """Deduplicate and sort literals into canonical order: sorting by value
+    puts -v before v, and the stable sort by variable id keeps that order."""
+    lits = tuple(lits)
+    if len(lits) < 2:
+        return lits
+    return tuple(sorted(sorted(set(lits)), key=abs))
 
 
 def _check_lits(lits):
@@ -80,8 +80,9 @@ class _Literals:
         return frozenset(abs(l) for l in self.lits)
 
     def is_trivial(self) -> bool:
-        seen = set(self.lits)
-        return any(-l in seen for l in self.lits)
+        # the literals are distinct, so a shared variable is a complementary pair
+        lits = self.lits
+        return len(lits) > 1 and len(set(map(abs, lits))) < len(lits)
 
     def union(self, other):
         return type(self)(self.lits + other.lits)
@@ -114,6 +115,7 @@ class Term(_Literals):
 
 
 EMPTY_TERM = Term()
+_term_lits = attrgetter("lits")
 
 
 @dataclass(frozen=True, order=True)
@@ -136,10 +138,7 @@ class CnfFormula:
         object.__setattr__(self, "clauses", tuple(sorted(set(cs))))
 
     def variables(self) -> frozenset[int]:
-        out = set()
-        for c in self.clauses:
-            out.update(c.variables())
-        return frozenset(out)
+        return frozenset(abs(l) for c in self.clauses for l in c.lits)
 
     def size(self) -> int:
         """Total literal count with repetition."""
@@ -182,9 +181,10 @@ class KDnfFormula:
                 t = Term(t)
             if not t.is_trivial():
                 ts.append(t)
-        ts = tuple(sorted(set(ts)))
+        # lits is a term's only field, so this is the dataclass order
+        ts = tuple(sorted(set(ts), key=_term_lits))
         for t in ts:
-            if len(t) > k:
+            if len(t.lits) > k:
                 raise ValueError(f"term {t.lits} wider than k={k}")
         object.__setattr__(self, "terms", ts)
         object.__setattr__(self, "k", k)
@@ -198,16 +198,13 @@ class KDnfFormula:
         return not self.terms
 
     def variables(self) -> frozenset[int]:
-        out = set()
-        for t in self.terms:
-            out.update(t.variables())
-        return frozenset(out)
+        return frozenset(abs(l) for t in self.terms for l in t.lits)
 
     def size(self) -> int:
-        return sum(len(t) for t in self.terms)
+        return sum(len(t.lits) for t in self.terms)
 
     def max_term_width(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
+        return max((len(t.lits) for t in self.terms), default=0)
 
     def as_clause(self) -> Clause:
         """The clause this 1-DNF denotes; only valid for singleton terms."""

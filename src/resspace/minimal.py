@@ -218,6 +218,8 @@ def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None
         raise InvalidParamError(f"k must be positive, got {k}")
     if max_vars < 0:
         raise InvalidParamError(f"max_vars must be non-negative, got {max_vars}")
+    if max_formulas < 1:
+        raise InvalidParamError(f"max_formulas must be positive, got {max_formulas}")
     if max_vars > get_cap("ENUM_VARS"):
         raise CapExceededError(f"max_vars {max_vars} exceeds cap")
     if max_formulas > get_cap("ENUM_FORMULAS"):
@@ -226,6 +228,8 @@ def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None
         yield from _enumerate_cnf(max_vars, max_formulas)
         return
     max_terms = 4 if max_terms is None else max_terms
+    if max_terms < 1:
+        raise InvalidParamError(f"max_terms must be positive, got {max_terms}")
     if max_terms > get_cap("ENUM_TERMS"):
         raise CapExceededError(f"max_terms {max_terms} exceeds cap")
     yield from _enumerate_kdnf(k, max_vars, max_formulas, max_terms)
@@ -338,7 +342,11 @@ def _kdnf_scan(sats, var_masks, req_masks, max_formulas, full):
             if joint == si:
                 continue
             if joint == 0:
-                if _gap_free_mask(var_masks[i] | var_masks[j]) and shrink_ok((i, j)):
+                if (
+                    max_formulas >= 2
+                    and _gap_free_mask(var_masks[i] | var_masks[j])
+                    and shrink_ok((i, j))
+                ):
                     hits.append((i, j))
             elif max_formulas >= 3:
                 for l in range(j + 1, n):

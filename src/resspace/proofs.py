@@ -101,16 +101,9 @@ class MeasureReport:
 
 
 # ---------------------------------------------------------------------------
-# rule shape matching
-
-
-def _formula_with(formula: KDnfFormula, extra: Term) -> KDnfFormula:
-    return KDnfFormula(formula.terms + (extra,), k=formula.k)
-
-
-def _formula_without(formula: KDnfFormula, terms) -> KDnfFormula:
-    drop = set(terms)
-    return KDnfFormula([t for t in formula.terms if t not in drop], k=formula.k)
+# rule shape matching, on term sets: board lines and checked consequences
+# all carry the rules' k, and premise terms are non-trivial and no wider than
+# k, so a line plus a premise term equals a formula iff their term sets agree
 
 
 def match_cut(d1: KDnfFormula, d2: KDnfFormula, cons: KDnfFormula):
@@ -119,42 +112,50 @@ def match_cut(d1: KDnfFormula, d2: KDnfFormula, cons: KDnfFormula):
     d1t, d2t, et = set(d1.terms), set(d2.terms), set(cons.terms)
     if not et <= d1t | d2t:
         return None
+    units = {s.lits[0]: s for s in d2t if len(s.lits) == 1}
     for t in d1.terms:
-        negs = {Term([-a]) for a in t.lits}
-        if not negs <= d2t:
-            continue
-        lower = (d1t - {t}) | (d2t - negs)
-        if lower <= et:
-            return t
+        if all(-a in units for a in t.lits):
+            lower = (d1t - {t}) | (d2t - {units[-a] for a in t.lits})
+            if lower <= et:
+                return t
     return None
 
 
 def match_andi(d1: KDnfFormula, d2: KDnfFormula, cons: KDnfFormula, k: int):
-    for t in d1.terms:
-        for t2 in d2.terms:
+    d1t, d2t, et = set(d1.terms), set(d2.terms), set(cons.terms)
+    # a premise term missing from cons is the one the rule consumed
+    only1, only2 = d1t - et, d2t - et
+    if len(only1) > 1 or len(only2) > 1:
+        return None
+    for t in only1 or d1.terms:
+        for t2 in only2 or d2.terms:
             lits = set(t.lits) | set(t2.lits)
             if len(lits) > k:
                 continue
             u = Term(lits)
             if u.is_trivial():
-                candidates = [cons]
-            elif u in cons:
-                candidates = [_formula_without(cons, [u]), cons]
+                candidates = (et,)
+            elif u in et:
+                candidates = (et - {u}, et)
             else:
                 continue
             for a in candidates:
-                if _formula_with(a, t) == d1 and _formula_with(a, t2) == d2:
+                if a | {t} == d1t and a | {t2} == d2t:
                     return t, t2
     return None
 
 
 def match_ande(d1: KDnfFormula, cons: KDnfFormula):
-    for t in d1.terms:
-        for t2 in cons.terms:
+    d1t, et = set(d1.terms), set(cons.terms)
+    only1, only_cons = d1t - et, et - d1t
+    if len(only1) > 1 or len(only_cons) > 1:
+        return None
+    for t in only1 or d1.terms:
+        for t2 in only_cons or cons.terms:
             if not t2.is_subterm_of(t):
                 continue
-            for a in (_formula_without(cons, [t2]), cons):
-                if _formula_with(a, t) == d1:
+            for a in (et - {t2}, et):
+                if a | {t} == d1t:
                     return t, t2
     return None
 

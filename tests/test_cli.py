@@ -188,6 +188,19 @@ def test_minunsat_enumerate(capsys):
     assert "p kdnf k=1" in out
 
 
+def test_minunsat_default_max_formulas_depends_on_k(capsys):
+    # 4 formulas for k=1, 3 (the k-DNF enumeration's limit) for k >= 2
+    assert run(["minunsat", "--k", "2", "--max-vars", "2"]) == 0
+    default = capsys.readouterr()
+    assert run(["minunsat", "--k", "2", "--max-vars", "2", "--max-formulas", "3"]) == 0
+    assert capsys.readouterr() == default
+    assert "c found 12 sets" in default.err
+    assert run(["minunsat", "--k", "1", "--max-vars", "2"]) == 0
+    default = capsys.readouterr()
+    assert run(["minunsat", "--k", "1", "--max-vars", "2", "--max-formulas", "4"]) == 0
+    assert capsys.readouterr() == default
+
+
 def test_pebble_min_time(capsys):
     assert (
         run(["pebble", "--graph", "path:3", "--mode", "black", "--min-time-for-space", "2"])
@@ -315,7 +328,15 @@ def test_malformed_spec_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--k", "0"], ["--k", "-1"], ["--max-vars", "-1"]]
+    "flags",
+    [
+        ["--k", "0"],
+        ["--k", "-1"],
+        ["--max-vars", "-1"],
+        ["--max-formulas", "0"],
+        ["--k", "2", "--max-formulas", "0"],
+        ["--k", "2", "--max-terms", "0"],
+    ],
 )
 def test_minunsat_out_of_range_param_is_a_usage_error(flags, capsys):
     assert run(["minunsat"] + flags) == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from resspace.logic import (
     Term,
     all_assignments,
     all_clauses_over,
+    canonical_literals,
     evaluate,
     implication_counterexample,
     implies,
@@ -290,6 +292,49 @@ def test_canonicalization_idempotent():
     d1 = KDnfFormula([Term([2, 1]), Term([-3])], k=2)
     d2 = KDnfFormula(d1.terms, k=2)
     assert d1 == d2 and dnf_to_text(d1) == dnf_to_text(d2)
+
+
+def test_canonical_form_matches_reference_definitions():
+    # the reference forms: literals sorted by (variable, sign) with a Python
+    # key, a pair of complementary literals, and terms in dataclass order
+    def lit_key(lit):
+        return (abs(lit), lit > 0)
+
+    rng = random.Random(11)
+    lit_lists = [
+        [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 6))]
+        for _ in range(500)
+    ]
+    for lits in lit_lists:
+        assert canonical_literals(lits) == tuple(sorted(set(lits), key=lit_key))
+        for cls in (Clause, Term):
+            e = cls(lits)
+            assert e.lits == canonical_literals(lits)
+            assert e.is_trivial() == any(-l in set(lits) for l in lits)
+    trivial = sum(Term(lits).is_trivial() for lits in lit_lists)
+    assert 0 < trivial < len(lit_lists)
+    for _ in range(300):
+        terms = [Term(rng.choice(lit_lists)) for _ in range(rng.randint(0, 6))]
+        want = tuple(sorted({t for t in terms if not t.is_trivial()}))
+        k = max((len(t) for t in want), default=0)
+        assert KDnfFormula(terms, k=k).terms == want
+        assert KDnfFormula([t.lits for t in terms], k=k + 1).terms == want
+
+
+@pytest.mark.parametrize(
+    "lits, bad", [([0], "0"), ([1, 0], "0"), (["x"], "'x'"), ([2, 1.0], "1.0"), ([None], "None")]
+)
+def test_bad_literals_still_raise(lits, bad):
+    for make in (Clause, Term, Restriction, lambda ls: KDnfFormula([ls], k=3)):
+        with pytest.raises(ValueError, match=f"^bad literal {re.escape(bad)}$"):
+            make(lits)
+
+
+def test_term_wider_than_k_still_raises():
+    with pytest.raises(ValueError, match=r"^term \(1, 2, 3\) wider than k=2$"):
+        KDnfFormula([Term([3, 1, 2])], k=2)
+    with pytest.raises(ValueError, match=r"^term \(-1, 2\) wider than k=1$"):
+        KDnfFormula([[2, -1]], k=1)
 
 
 def test_accel_paths_agree():

@@ -254,6 +254,24 @@ def test_enumerate_rejects_nonpositive_k_and_negative_max_vars():
             list(enumerate_min_unsat(k, -1, 3, 2))
 
 
+def test_enumerate_rejects_nonpositive_max_formulas_and_max_terms():
+    for k in (1, 2):
+        with pytest.raises(InvalidParamError, match="max_formulas"):
+            list(enumerate_min_unsat(k, 3, 0, 2))
+    for max_terms in (0, -1):
+        with pytest.raises(InvalidParamError, match="max_terms"):
+            list(enumerate_min_unsat(2, 3, 2, max_terms))
+
+
+def test_enumerate_kdnf_honours_max_formulas_below_two():
+    # every yielded k-DNF set has at least two formulas, so a limit of one
+    # yields nothing, and a limit of two yields only pairs
+    assert list(enumerate_min_unsat(2, 3, 1, 2)) == []
+    pairs = list(enumerate_min_unsat(2, 3, 2, 2))
+    assert pairs and all(len(s) == 2 for s in pairs)
+    assert {s for s in enumerate_min_unsat(2, 3, 3, 2) if len(s) == 2} == set(pairs)
+
+
 def test_enumeration_caps():
     with pytest.raises(CapExceededError):
         list(enumerate_min_unsat(1, 9, 3))

@@ -29,6 +29,9 @@ from resspace.proofs import (
     check_refutation,
     check_step,
     derive_implied_clause,
+    match_ande,
+    match_andi,
+    match_cut,
     replay,
     zero_formula,
 )
@@ -709,3 +712,150 @@ def test_step_error_messages():
         check_step(f, config, Inference(zero_formula(1), "cut", (9, 9)), 1, "syntactic")
     with pytest.raises(RuleMismatchError, match=r"^unknown step kind$"):
         check_step(f, config, "step", 1, "syntactic")
+
+
+# --- rule matchers against the formula-building reference ---------------------
+
+
+def _ref_with(formula, extra):
+    return KDnfFormula(formula.terms + (extra,), k=formula.k)
+
+
+def _ref_without(formula, terms):
+    drop = set(terms)
+    return KDnfFormula([t for t in formula.terms if t not in drop], k=formula.k)
+
+
+def _ref_match_cut(d1, d2, cons):
+    d1t, d2t, et = set(d1.terms), set(d2.terms), set(cons.terms)
+    if not et <= d1t | d2t:
+        return None
+    for t in d1.terms:
+        negs = {Term([-a]) for a in t.lits}
+        if not negs <= d2t:
+            continue
+        lower = (d1t - {t}) | (d2t - negs)
+        if lower <= et:
+            return t
+    return None
+
+
+def _ref_match_andi(d1, d2, cons, k):
+    for t in d1.terms:
+        for t2 in d2.terms:
+            lits = set(t.lits) | set(t2.lits)
+            if len(lits) > k:
+                continue
+            u = Term(lits)
+            if u.is_trivial():
+                candidates = [cons]
+            elif u in cons:
+                candidates = [_ref_without(cons, [u]), cons]
+            else:
+                continue
+            for a in candidates:
+                if _ref_with(a, t) == d1 and _ref_with(a, t2) == d2:
+                    return t, t2
+    return None
+
+
+def _ref_match_ande(d1, cons):
+    for t in d1.terms:
+        for t2 in cons.terms:
+            if not t2.is_subterm_of(t):
+                continue
+            for a in (_ref_without(cons, [t2]), cons):
+                if _ref_with(a, t) == d1:
+                    return t, t2
+    return None
+
+
+def _random_term(rng, k, nvars=4):
+    vs = rng.sample(range(1, nvars + 1), rng.randint(1, k))
+    return Term(rng.choice((1, -1)) * v for v in vs)
+
+
+def _rule_instance(rng, rule, k):
+    """Premises and consequence of one well-formed application of the rule;
+    the shared terms are drawn over few variables, so they often collide
+    with the rule's own terms."""
+    shared = [_random_term(rng, k) for _ in range(rng.randint(0, 3))]
+    if rule == "andi":
+        while True:
+            t, t2 = _random_term(rng, k), _random_term(rng, k)
+            lits = set(t.lits) | set(t2.lits)
+            if len(lits) <= k:
+                break
+        return (
+            KDnfFormula(shared + [t], k=k),
+            KDnfFormula(shared + [t2], k=k),
+            KDnfFormula(shared + [Term(lits)], k=k),
+        )
+    if rule == "ande":
+        t = _random_term(rng, k)
+        sub = Term(rng.sample(t.lits, rng.randint(0, len(t))))
+        return KDnfFormula(shared + [t], k=k), None, KDnfFormula(shared + [sub], k=k)
+    t = _random_term(rng, k)
+    other = [_random_term(rng, k) for _ in range(rng.randint(0, 2))]
+    negs = [Term([-a]) for a in t.lits]
+    kept = [x for x in [t] + negs if rng.random() < 0.2]  # up to d1 u d2
+    return (
+        KDnfFormula(shared + [t], k=k),
+        KDnfFormula(other + negs, k=k),
+        KDnfFormula(shared + other + kept, k=k),
+    )
+
+
+def _mutated(rng, triple, k):
+    """The triple with a term dropped, added or widened in one of its
+    formulas, or with its premises swapped; None if the edit is not a k-DNF."""
+    d1, d2, cons = triple
+    how = rng.choice(("drop", "add", "widen", "swap"))
+    if how == "swap":
+        return (d2, d1, cons) if d2 is not None else None
+    slot = rng.choice([i for i, f in enumerate(triple) if f is not None])
+    terms = list(triple[slot].terms)
+    if how == "add":
+        terms.append(_random_term(rng, k))
+    elif not terms:
+        return None
+    elif how == "drop":
+        terms.pop(rng.randrange(len(terms)))
+    else:
+        i = rng.randrange(len(terms))
+        terms[i] = Term(terms[i].lits + (rng.choice((1, -1)) * rng.randint(1, 4),))
+    try:
+        edited = KDnfFormula(terms, k=k)
+    except ValueError:
+        return None
+    out = list(triple)
+    out[slot] = edited
+    return tuple(out)
+
+
+def test_matchers_agree_with_formula_building_reference():
+    # seeded well-formed and mutated premise/consequence triples, all at one
+    # k as on a board: identical results, None included, in both premise
+    # orders; the cut pivot depends on which term comes back
+    rng = random.Random(2024)
+    results = {"andi": [], "ande": [], "cut": []}
+    for _ in range(1500):
+        rule, k = rng.choice(sorted(results)), rng.randint(1, 3)
+        triple = _rule_instance(rng, rule, k)
+        cases = [triple] + [_mutated(rng, triple, k) for _ in range(3)]
+        for d1, d2, cons in filter(None, cases):
+            got = match_ande(d1, cons)
+            assert got == _ref_match_ande(d1, cons)
+            results["ande"].append(got)
+            if d2 is None:
+                continue
+            for p, q in ((d1, d2), (d2, d1)):
+                got = match_andi(p, q, cons, k)
+                assert got == _ref_match_andi(p, q, cons, k)
+                results["andi"].append(got)
+                got = match_cut(p, q, cons)
+                assert got == _ref_match_cut(p, q, cons)
+                results["cut"].append(got)
+    for rule, got in results.items():
+        matched = sum(r is not None for r in got)
+        assert 0.1 < matched / len(got) < 0.9, rule
