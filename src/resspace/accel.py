@@ -1,12 +1,15 @@
 """Hot numeric kernels, each with one numpy/Python implementation.
 
-Four inner loops dominate the package's runtime: the brute-force
-implication oracle (2^n assignment sweeps, vectorized over chunks of
-assignments), breadth-first searches over black and over black-white
-pebbling configurations encoded as bit masks (each vectorized over its BFS
-level), and the DFS that walks irredundant subcube covers (minimally
-unsatisfiable CNFs), a plain recursive search that both the cover
-enumeration and the cover scan visit.
+Three inner loops dominate the package's runtime: the satisfaction kernel
+``sat_mask`` that every brute-force oracle shares (which assignment words
+satisfy a formula as ``logic._as_rows`` encodes it, swept over all 2^n
+words in chunks by the implication oracle, over a configuration's
+substituted assignments by projection, over the cube by the min-unsat
+masks), breadth-first searches over black and over black-white pebbling
+configurations encoded as bit masks (each vectorized over its BFS level),
+and the DFS that walks irredundant subcube covers (minimally unsatisfiable
+CNFs), a plain recursive search that both the cover enumeration and the
+cover scan visit.
 
 The two pebble BFSs share the popcount, the status codes and the move
 coding, but not the level loop.  Each search's witness is fixed by its
@@ -29,56 +32,54 @@ USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# implication counterexample search
+# formula satisfaction and the implication counterexample search
 
 
-def _flatten_side(side):
-    """Flatten [(kind, [(pos, neg), ...]), ...] into numpy arrays."""
-    kinds, starts, pos, neg = [], [0], [], []
-    for kind, rows in side:
-        kinds.append(0 if kind == "cnf" else 1)
-        for p, n in rows:
-            pos.append(p)
-            neg.append(n)
-        starts.append(len(pos))
-    return (
-        np.asarray(kinds, dtype=np.int64),
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(pos, dtype=np.int64),
-        np.asarray(neg, dtype=np.int64),
-    )
+def sat_mask(a, kind, rows):
+    """Which of the assignment words ``a`` satisfy the formula that
+    ``logic._as_rows`` encodes as (kind, [(pos, neg), ...]).
+
+    A clause row holds off the one subcube it falsifies, a term row on the
+    one subcube it fixes.  A row with a variable in both masks is skipped: a
+    tautological clause always holds, a contradictory term never does.  With
+    no rows left a CNF holds everywhere and a DNF nowhere.
+    """
+    cnf = kind == "cnf"
+    out = None
+    for pos, neg in rows:
+        if pos & neg:
+            continue
+        fixed = a & (pos | neg)
+        hit = fixed != neg if cnf else fixed == pos
+        if out is None:
+            out = hit
+        elif cnf:
+            out &= hit
+        else:
+            out |= hit
+    return np.full(a.shape, cnf) if out is None else out
 
 
-def _side_sat(a, kinds, starts, pos, neg):
+def _sat_all(a, side):
     """Which of the assignment words ``a`` satisfy every formula of a side."""
     sat = np.ones(a.shape, dtype=bool)
-    for i in range(kinds.shape[0]):
-        lo, hi = starts[i], starts[i + 1]
-        if kinds[i] == 0:  # CNF: every clause row must hold
-            f_ok = np.ones(a.shape, dtype=bool)
-            for r in range(lo, hi):
-                f_ok &= ((a & pos[r]) != 0) | ((~a & neg[r]) != 0)
-        else:  # DNF: some term row must hold
-            f_ok = np.zeros(a.shape, dtype=bool)
-            for r in range(lo, hi):
-                f_ok |= ((a & pos[r]) == pos[r]) & ((a & neg[r]) == 0)
-        sat &= f_ok
+    for kind, rows in side:
+        sat &= sat_mask(a, kind, rows)
     return sat
 
 
 def find_counterexample(nvars, prem_side, conc_side):
     """First assignment (as a bit word) satisfying every premise formula but
-    not every conclusion formula, or None if no such assignment exists."""
-    prem = _flatten_side(prem_side)
-    conc = _flatten_side(conc_side)
+    not every conclusion formula, or None if no such assignment exists.
+    Each side is a list of (kind, rows) as sat_mask takes them."""
     total = 1 << nvars
     chunk = min(total, 1 << 18)
     for base in range(0, total, chunk):
         a = np.arange(base, min(base + chunk, total), dtype=np.int64)
-        good = _side_sat(a, *prem)
+        good = _sat_all(a, prem_side)
         if not good.any():
             continue
-        idx = np.flatnonzero(good & ~_side_sat(a, *conc))
+        idx = np.flatnonzero(good & ~_sat_all(a, conc_side))
         if idx.size:
             return int(a[idx[0]])
     return None

@@ -72,6 +72,16 @@ def threshold_function(d: int, k: int) -> BooleanFunction:
     return f
 
 
+def threshold_of(f: BooleanFunction) -> int | None:
+    """The k for which f is the named threshold "at least k of d": 1 for
+    or, d for and, its own k for thr<k> and maj; None for anything else."""
+    if f.name == "or":
+        return 1
+    if f.name == "and":
+        return f.d
+    return getattr(f, "_thr_k", None)  # set by threshold_function only
+
+
 def identity_function() -> BooleanFunction:
     return BooleanFunction("identity", 1, [False, True])
 
@@ -136,12 +146,8 @@ def canonical_clauses(f: BooleanFunction, positive: bool = True) -> CnfFormula:
     d = f.d
     if f.name == "identity":
         return CnfFormula([Clause([1 if positive else -1])])
-    if f.name == "or":
-        f = threshold_function(d, 1)
-    if f.name == "and":
-        f = threshold_function(d, d)
-    if f.name.startswith("thr") and hasattr(f, "_thr_k"):
-        k = f._thr_k
+    k = threshold_of(f)
+    if k is not None:
         if positive:
             clauses = [
                 Clause([v for v in s])

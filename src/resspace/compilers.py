@@ -33,6 +33,7 @@ from .boolfunc import (
     minterm_dnf,
     substitute_clause,
     substitute_formula,
+    threshold_of,
 )
 from .errors import (
     IllegalMoveError,
@@ -178,14 +179,8 @@ def dnf_representation(f: BooleanFunction, var: int, positive: bool) -> KDnfForm
     block = varmap.block(var)
     if f.name == "identity":
         return KDnfFormula([Term([block[0] if positive else -block[0]])], k=d)
-    kind = f.name
-    if kind == "or":
-        kind, thr_k = "thr", 1
-    elif kind == "and":
-        kind, thr_k = "thr", d
-    elif kind.startswith("thr") and hasattr(f, "_thr_k"):
-        kind, thr_k = "thr", f._thr_k
-    if kind == "thr":
+    thr_k = threshold_of(f)
+    if thr_k is not None:
         if positive:
             terms = [
                 Term([block[i] for i in s])

@@ -16,7 +16,7 @@ its 1-based line number.
 from __future__ import annotations
 
 from .errors import FormatError
-from .logic import Clause, CnfFormula, KDnfFormula, Term
+from .logic import Clause, CnfFormula, KDnfFormula
 
 
 def _line_error(n: int, line: str, e: Exception) -> FormatError:
@@ -51,16 +51,13 @@ def dnf_from_text(text: str, k: int) -> KDnfFormula:
         lits = []
         for tok in part.split("^"):
             try:
-                lit = int(tok)
+                lits.append(int(tok))
             except ValueError:
                 raise FormatError(f"bad literal token {tok!r}") from None
-            if lit == 0:
-                raise FormatError("literal 0 is not allowed")
-            lits.append(lit)
-        terms.append(Term(lits))
+        terms.append(lits)
     try:
         return KDnfFormula(terms, k=k)
-    except ValueError as e:
+    except ValueError as e:  # a literal 0, or a term wider than k
         raise FormatError(str(e)) from None
 
 
@@ -175,7 +172,14 @@ def derivation_to_text(derivation) -> str:
 
 
 def derivation_from_text(text: str, formula: CnfFormula):
-    from .proofs import AxiomDownload, Derivation, Erasure, Inference
+    from .proofs import (
+        SEMANTIC,
+        SYNTACTIC,
+        AxiomDownload,
+        Derivation,
+        Erasure,
+        Inference,
+    )
 
     header = None
     steps = []
@@ -188,12 +192,18 @@ def derivation_from_text(text: str, formula: CnfFormula):
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "proof":
                     raise FormatError("bad proof header")
+                if header is not None:
+                    raise FormatError("second proof header")
                 fields = dict(p.split("=", 1) for p in parts[2:])
-                header = (int(fields["k"]), fields["mode"])
+                k, mode = int(fields["k"]), fields["mode"]
+                if k < 1:
+                    raise FormatError(f"k={k} is not positive")
+                if mode not in (SYNTACTIC, SEMANTIC):
+                    raise FormatError(f"unknown mode {mode!r}")
+                header = (k, mode)
                 continue
             if header is None:
                 raise FormatError("step before proof header")
-            k = header[0]
             if line.startswith("a "):
                 steps.append(AxiomDownload(clause_from_text(line[2:])))
             elif line.startswith("e "):

@@ -382,28 +382,36 @@ def _entity_variables(entity):
     return entity.variables()
 
 
+def _row(lits, var_bit):
+    """One literal tuple as (pos_mask, neg_mask): v sets bit var_bit[v] of
+    pos_mask, -v the same bit of neg_mask."""
+    pos = neg = 0
+    for l in lits:
+        if l > 0:
+            pos |= 1 << var_bit[l]
+        else:
+            neg |= 1 << var_bit[-l]
+    return pos, neg
+
+
 def _as_rows(entity, var_bit):
-    """Encode an entity as (kind, rows) for the evaluation kernel.
+    """Encode an entity as (kind, rows) for the satisfaction kernel
+    ``accel.sat_mask``, the one place that evaluates the encoding.
 
     kind "cnf": satisfied iff every row (a clause) holds; kind "dnf":
     satisfied iff some row (a term) holds.  Rows are (pos_mask, neg_mask)
-    bit masks over the assignment word.
+    bit masks over the assignment word, variable v on bit var_bit[v].
     """
-    def row(lits):
-        pos = sum(1 << var_bit[l] for l in lits if l > 0)
-        neg = sum(1 << var_bit[-l] for l in lits if l < 0)
-        return (pos, neg)
-
-    if isinstance(entity, int):
-        entity = Clause([entity])
     if isinstance(entity, Clause):
-        return ("cnf", [row(entity)])
-    if isinstance(entity, Term):
-        return ("dnf", [row(entity)])
-    if isinstance(entity, CnfFormula):
-        return ("cnf", [row(c) for c in entity])
+        return "cnf", [_row(entity.lits, var_bit)]
     if isinstance(entity, KDnfFormula):
-        return ("dnf", [row(t) for t in entity])
+        return "dnf", [_row(t.lits, var_bit) for t in entity.terms]
+    if isinstance(entity, Term):
+        return "dnf", [_row(entity.lits, var_bit)]
+    if isinstance(entity, CnfFormula):
+        return "cnf", [_row(c.lits, var_bit) for c in entity.clauses]
+    if isinstance(entity, int):
+        return "cnf", [_row(Clause([entity]).lits, var_bit)]
     raise TypeError(f"cannot encode {type(entity).__name__}")
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from . import accel
 from .caps import get_cap
 from .errors import CapExceededError, InvalidParamError, NotMinimalError
@@ -23,6 +25,7 @@ from .logic import (
     KDnfFormula,
     Restriction,
     Term,
+    _as_rows,
     all_clauses_over,
     implication_counterexample,
     implies,
@@ -144,11 +147,10 @@ def shrink_witness_restriction(formulas, idx: int, term: Term, lit: int, goal=EM
 def _term_mask(term, max_vars):
     """Assignments (bit-indexed) satisfying the term.  A clause is falsified
     exactly where the term of its negated literals is satisfied."""
-    mask = 0
-    for bits in range(1 << max_vars):
-        if all(((bits >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0) for l in term.lits):
-            mask |= 1 << bits
-    return mask
+    var_bit = {v: v - 1 for v in term.variables()}
+    a = np.arange(1 << max_vars, dtype=np.int64)
+    sat = accel.sat_mask(a, *_as_rows(term, var_bit))
+    return int.from_bytes(np.packbits(sat, bitorder="little").tobytes(), "little")
 
 
 def _var_mask(entity):

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accel import sat_mask
 from .boolfunc import (
     BooleanFunction,
     SubstitutionVarMap,
@@ -55,7 +56,7 @@ from .errors import (
     InvalidInputError,
     InvalidParamError,
 )
-from .logic import Clause, CnfFormula, KDnfFormula
+from .logic import Clause, CnfFormula, KDnfFormula, _as_rows
 from .pebbling import Move
 from .proofs import Derivation, DerivationBuilder, replay
 from .transforms import eliminate_weakening, make_frugal
@@ -91,33 +92,6 @@ class Projector:
         return bit, 1 << len(sub_vars)
 
     @staticmethod
-    def _formula_mask(formula, bit, a):
-        """Which assignments of ``a`` satisfy the formula."""
-
-        def pattern(lits):
-            pos = neg = 0
-            for l in lits:
-                if l > 0:
-                    pos |= 1 << bit[l]
-                else:
-                    neg |= 1 << bit[-l]
-            return pos, neg
-
-        if isinstance(formula, Clause):
-            pos, neg = pattern(formula.lits)
-            if pos & neg:  # a literal and its complement: a tautology
-                return np.ones(a.shape[0], dtype=bool)
-            return (a & (pos | neg)) != neg  # falsified exactly on one subcube
-        if isinstance(formula, KDnfFormula):
-            out = np.zeros(a.shape[0], dtype=bool)
-            for t in formula.terms:
-                pos, neg = pattern(t.lits)
-                if not pos & neg:  # a contradictory term holds nowhere
-                    out |= (a & (pos | neg)) == pos
-            return out
-        raise InvalidInputError(f"cannot project {type(formula).__name__}")
-
-    @staticmethod
     def _maximal(values):
         """Maximal elements of an iterable of bitmask ints."""
         vals = sorted(set(values), key=int.bit_count, reverse=True)
@@ -142,6 +116,8 @@ class Projector:
                         f"width {width}; project k-DNF lines with --mode whole_set"
                     )
                 formula = formula.as_clause()
+            elif not isinstance(formula, (Clause, KDnfFormula)):
+                raise InvalidInputError(f"cannot project {type(formula).__name__}")
             members.append(formula)
         members = sorted(set(members))
         cap = get_cap(
@@ -169,7 +145,7 @@ class Projector:
         if mode == "subset":
             svec = np.zeros(size, dtype=np.int64)
             for i, m in enumerate(members):
-                svec |= self._formula_mask(m, bit, a).astype(np.int64) << i
+                svec |= sat_mask(a, *_as_rows(m, bit)).astype(np.int64) << i
             full = (1 << len(members)) - 1
             order = np.lexsort((svec, image))
             image, svec = image[order], svec[order]
@@ -183,7 +159,7 @@ class Projector:
         else:
             sat = np.ones(size, dtype=bool)
             for m in members:
-                sat &= self._formula_mask(m, bit, a)
+                sat &= sat_mask(a, *_as_rows(m, bit))
             models = np.unique(image[sat]).tolist()
 
         # a clause C over the shadow variables is given by the bits V of

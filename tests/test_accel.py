@@ -1,13 +1,27 @@
 """Kernels against brute-force oracles, the shared cover walk, cap plumbing."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from resspace import accel
 from resspace.errors import CapExceededError
 from resspace import minimal
-from resspace.logic import KDnfFormula, all_assignments, all_clauses_over, evaluate
+from resspace.logic import (
+    EMPTY_CLAUSE,
+    EMPTY_DNF,
+    EMPTY_TERM,
+    Clause,
+    CnfFormula,
+    KDnfFormula,
+    Term,
+    _as_rows,
+    all_assignments,
+    all_clauses_over,
+    evaluate,
+)
 from resspace.minimal import (
     _all_terms,
     _gap_free_mask,
@@ -16,6 +30,73 @@ from resspace.minimal import (
     _var_mask,
     is_minimally_unsatisfiable,
 )
+
+
+def _random_entities(rng, nv):
+    """Seeded clauses, terms (tautological and contradictory ones among
+    them), CNFs keeping trivial clauses, k-DNFs and literals over 1..nv."""
+
+    def lits():
+        width = rng.randint(0, 4)
+        return [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(width)]
+
+    out = []
+    for _ in range(40):
+        out += [
+            Clause(lits()),
+            Term(lits()),
+            CnfFormula([lits() for _ in range(rng.randint(0, 3))], keep_trivial=True),
+            KDnfFormula([lits() for _ in range(rng.randint(0, 3))], k=4),
+            rng.choice((1, -1)) * rng.randint(1, nv),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("nv", [1, 2, 4])
+def test_sat_mask_agrees_with_evaluate(nv):
+    # the kernel on the one encoding gives logic.evaluate's value on every
+    # assignment, bit b of the word being the value of variable b+1
+    rng = random.Random(100 + nv)
+    var_bit = {v: v - 1 for v in range(1, nv + 1)}
+    a = np.arange(1 << nv, dtype=np.int64)
+    alphas = list(all_assignments(range(1, nv + 1)))
+    edge = [
+        Clause([1, -1]),
+        Term([1, -1]),
+        CnfFormula([[1, -1], [-1, 1]], keep_trivial=True),
+        CnfFormula([[1, -1], [1]], keep_trivial=True),
+        EMPTY_CLAUSE,
+        EMPTY_TERM,
+        EMPTY_DNF,
+        CnfFormula(),
+    ]
+    entities = edge + _random_entities(rng, nv)
+    kinds = {type(e) for e in entities}
+    assert kinds == {Clause, Term, CnfFormula, KDnfFormula, int}
+    assert any(isinstance(e, Term) and e.is_trivial() for e in entities[len(edge) :])
+    for e in entities:
+        got = accel.sat_mask(a, *_as_rows(e, var_bit))
+        assert got.dtype == bool and got.shape == a.shape
+        assert got.tolist() == [evaluate(e, alpha) for alpha in alphas], e
+
+
+def _term_mask_by_loop(term, max_vars):
+    """The per-assignment loop: bit b set iff assignment b satisfies term."""
+    mask = 0
+    for bits in range(1 << max_vars):
+        if all(((bits >> (abs(l) - 1)) & 1) == (1 if l > 0 else 0) for l in term.lits):
+            mask |= 1 << bits
+    return mask
+
+
+@pytest.mark.parametrize("max_vars", [0, 1, 3, 4])
+def test_term_mask_matches_the_assignment_loop(max_vars):
+    terms = [EMPTY_TERM] + [
+        Term(c.lits) for c in all_clauses_over(range(1, max_vars + 1))
+    ]
+    terms += [Term([1, -1]), Term([-2, 1, 2])] if max_vars >= 2 else []
+    for t in terms:
+        assert _term_mask(t, max_vars) == _term_mask_by_loop(t, max_vars), t
 
 
 def _clause_universe(max_vars):

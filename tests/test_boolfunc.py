@@ -18,6 +18,7 @@ from resspace.boolfunc import (
     substitute_clause,
     substitute_formula,
     threshold_function,
+    threshold_of,
     xor_function,
 )
 from resspace.errors import InvalidParamError
@@ -67,6 +68,22 @@ def test_and2_default_representation():
     # the natural unit-clause form, not the three-clause fallback
     assert canonical_clauses(and_function(2), positive=True) == CnfFormula([[1], [2]])
     assert canonical_clauses(and_function(2), positive=False) == CnfFormula([[-1, -2]])
+
+
+@pytest.mark.parametrize(
+    "f, k",
+    [
+        (or_function(3), 1),
+        (and_function(3), 3),
+        (threshold_function(4, 2), 2),
+        (majority_function(5), 3),
+        (xor_function(2), None),
+        (identity_function(), None),
+        (custom_function([0, 1, 1, 1]), None),  # or's table, but no name
+    ],
+)
+def test_threshold_of(f, k):
+    assert threshold_of(f) == k
 
 
 def _alpha(f, bits):

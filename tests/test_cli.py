@@ -307,6 +307,25 @@ def test_check_bad_erasure_id_is_a_format_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "header", ["p proof k=1 mode=bogus", "p proof k=0 mode=syntactic"]
+)
+def test_check_bad_proof_header_is_a_format_error(tmp_path, capsys, header):
+    out = tmp_path / "peb"
+    run(["gen", "--graph", "path:2", "--f", "identity", "--out", str(out)])
+    proof = tmp_path / "p.proof"
+    proof.write_text(f"{header}\na 1\n")
+    capsys.readouterr()
+    assert (
+        run(["check", "--formula", str(out.with_suffix(".cnf")), "--proof", str(proof)])
+        == 2
+    )
+    captured = capsys.readouterr()
+    assert "error [FORMAT]: line 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["pebble", "--graph", "pyramid:x"],

@@ -46,10 +46,14 @@ def test_clause_text():
 
 
 def test_dnf_text_rejects_bad_tokens():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^bad literal token 'x'$"):
         dnf_from_text("1^x", k=2)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^bad literal token ''$"):
+        dnf_from_text("1|", k=2)
+    with pytest.raises(FormatError, match="^bad literal 0$"):
         dnf_from_text("0", k=1)
+    with pytest.raises(FormatError, match="^bad literal 0$"):
+        dnf_from_text("2|1^0", k=2)
     with pytest.raises(FormatError):
         dnf_from_text("1^2", k=1)  # term wider than k
 
@@ -145,6 +149,9 @@ PROOF_HEAD = "p proof k=1 mode=syntactic\n"
         (_proof_from_text, PROOF_HEAD + "a 1^2\n", 2),
         (_proof_from_text, "p proof mode=syntactic x=1\n", 1),
         (_proof_from_text, "p proof k=1 modesyntactic\n", 1),
+        (_proof_from_text, "p proof k=1 mode=bogus\na 1\n", 1),
+        (_proof_from_text, "p proof k=0 mode=syntactic\na 1\n", 1),
+        (_proof_from_text, PROOF_HEAD + "a 1\np proof k=2 mode=semantic\n", 3),
     ],
 )
 def test_malformed_lines_are_format_errors_with_line_numbers(parse, text, line):

@@ -6,7 +6,7 @@ from resspace.boolfunc import or_function, xor_function
 from resspace.compilers import compile_pebbling, pebbling_formula
 from resspace.errors import AuthoritarianFunctionError
 from resspace.graphs import bit_reversal_graph, path_graph, pyramid_graph
-from resspace.logic import Clause, CnfFormula, KDnfFormula, implies
+from resspace.logic import Clause, CnfFormula, KDnfFormula, Term, implies
 
 from resspace.pebbling import trivial_black_pebbling, validate_pebbling
 from resspace.projection import (
@@ -630,3 +630,15 @@ def test_projection_over_the_substituted_variable_cap_raises():
     for mode in ("subset", "whole_set"):
         with pytest.raises(CapExceededError):
             project([wide], base, f, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "member", [Term([1]), CnfFormula([[1]]), 1], ids=["term", "cnf", "int"]
+)
+def test_project_rejects_a_member_that_is_no_clause_or_dnf(member):
+    from resspace.errors import InvalidInputError
+    from resspace.projection import Projector
+
+    for mode in ("subset", "whole_set"):
+        with pytest.raises(InvalidInputError, match="^cannot project "):
+            Projector(BASE_XY, XOR2).project([Clause([1]), member], mode=mode)
