@@ -5,20 +5,25 @@ Three inner loops dominate the package's runtime: the satisfaction kernel
 satisfy a formula as ``logic._as_rows`` encodes it, swept over all 2^n
 words in chunks by the implication oracle, over a configuration's
 substituted assignments by projection, over the cube by the min-unsat
-masks), breadth-first searches over black and over black-white pebbling
-configurations encoded as bit masks (each vectorized over its BFS level),
+masks), one breadth-first search over black or black-white pebbling
+configurations encoded as bit masks (vectorized over each BFS level),
 and the DFS that walks irredundant subcube covers (minimally unsatisfiable
 CNFs), a plain recursive search that both the cover enumeration and the
 cover scan visit.
 
-The two pebble BFSs share the popcount, the status codes and the move
-coding, but not the level loop.  Each search's witness is fixed by its
-discovery order, and the two orders differ: the black search expands a
-whole level one move at a time (move-major), the black-white search one
-source state at a time (source-major).  Run in source-major order, the
-black search returns other witnesses (on 21 of the 30 budgets of
-pyramid:4 and binary_tree:3) and is slower: its pyramid:5 sweep took
-9.0 s instead of 2.4 s (2 cores, Python 3.11, numpy 2.4).
+The two pebble games run one BFS level loop, ``_level_bfs``: it allocates
+the arrays and the visited set, records parents and moves, and decides
+FOUND and OVERFLOW.  A game supplies only its expansion, the order in which
+a level's successors are discovered, and that order fixes the game's
+witnesses.  The black search expands a whole level one move at a time
+(move-major).  Run in source-major order it returns other witnesses (on 21
+of the 30 budgets of pyramid:4 and binary_tree:3) and was slower when
+measured: its pyramid:5 sweep took 9.0 s instead of 2.4 s.  The black-white search
+expands one source state at a time (source-major), the order of the
+frozenset BFS it replaced, in chunks of sources.  It drops visited
+successors before ``np.unique``; deduplicating first made its pyramid:3
+sweep 45 % slower (0.10 s to 0.146 s).  Times on 2 cores, Python 3.11,
+numpy 2.4.
 """
 
 from __future__ import annotations
@@ -86,11 +91,14 @@ def find_counterexample(nvars, prem_side, conc_side):
 
 
 # ---------------------------------------------------------------------------
-# black-pebbling BFS over bit-mask configurations
+# pebbling BFS over bit-mask configurations
 #
-# The BFS is level-synchronous and expands moves in a fixed order (place on
-# vertex 0..n-1, then remove from vertex 0..n-1), so discovery order -- and
-# with it the reconstructed witness -- is deterministic.
+# One level-synchronous loop runs both games.  A game supplies its expansion:
+# given a level's states and the visited set, it yields batches (succ, src,
+# move, key) of fresh, distinct successors in the game's discovery order,
+# with each successor's source index within the level, its move code and its
+# visited-set key.  The loop records each batch up to the target and marks it
+# visited before the next batch is made, so later batches see it.
 
 FOUND, EXHAUSTED, OVERFLOW = 0, 1, 2
 
@@ -106,74 +114,77 @@ def _popcount(arr):
     )
 
 
-def black_bfs(n, pred_masks, target, space_cap, state_cap):
-    """BFS from the empty configuration over configurations holding at most
-    ``space_cap`` pebbles.
+def _level_bfs(expand, nstates, target, state_cap):
+    """BFS from state 0 (visited-set key 0) over what ``expand`` reaches,
+    with a visited set of ``nstates`` keys.
 
     Returns (status, states, parents, moves, target_index); the witness is
-    reconstructed by following parents back from target_index.  Move codes:
-    v places a black pebble on vertex v, n+v removes it.
+    reconstructed by following parents back from target_index.  OVERFLOW is
+    returned as soon as more than ``state_cap`` states, the empty one and the
+    target included, have been discovered.
     """
-    preds = np.asarray(pred_masks, dtype=np.int64)
-    target = np.int64(target)
-    visited = np.zeros(1 << n, dtype=bool)
-    states = np.empty(state_cap, dtype=np.int64)
-    parents = np.empty(state_cap, dtype=np.int64)
-    moves = np.empty(state_cap, dtype=np.int64)
+    # One block, not three arrays: three separate 16 MB arrays (black
+    # pyramid:5) fall under glibc's adaptive mmap threshold, and the
+    # exhaustive benchmark's peak RSS grew by 29 %.
+    size = min(state_cap, nstates) + 1
+    states, parents, moves = np.empty((3, size), dtype=np.int64)
+    visited = np.zeros(nstates, dtype=bool)
     states[0], parents[0], moves[0] = 0, -1, -1
     visited[0] = True
-    count = 1
-    lo, hi = 0, 1
+    count, lo, hi = 1, 0, 1
     while lo < hi:
-        level = states[lo:hi].copy()
-        level_idx = np.arange(lo, hi)
-        for mv in range(2 * n):
-            place = mv < n
-            v = mv if place else mv - n
-            bit = np.int64(1) << v
-            if place:
-                ok = ((level & bit) == 0) & ((level & preds[v]) == preds[v])
-                succ = level[ok] | bit
-                srcs = level_idx[ok]
-                if space_cap <= n:
-                    keep = _popcount(succ) <= space_cap
-                    succ, srcs = succ[keep], srcs[keep]
-            else:
-                ok = (level & bit) != 0
-                succ = level[ok] & ~bit
-                srcs = level_idx[ok]
+        for succ, src, move, key in expand(states[lo:hi], visited):
             if succ.size == 0:
                 continue
-            new = ~visited[succ]
-            succ, srcs = succ[new], srcs[new]
-            if succ.size == 0:
-                continue
-            if count + succ.size > state_cap:
-                return OVERFLOW, states[:count], parents[:count], moves[:count], -1
-            visited[succ] = True
-            states[count : count + succ.size] = succ
-            parents[count : count + succ.size] = srcs
-            moves[count : count + succ.size] = mv
             hit = np.flatnonzero(succ == target)
+            stop = int(hit[0]) + 1 if hit.size else succ.size
+            if count + stop > state_cap:
+                return OVERFLOW, states[:count], parents[:count], moves[:count], -1
+            new = slice(count, count + stop)
+            visited[key[:stop]] = True
+            states[new] = succ[:stop]
+            parents[new] = lo + src[:stop]
+            moves[new] = move[:stop]
+            count += stop
             if hit.size:
-                end = count + int(hit[0])
-                return FOUND, states[: end + 1], parents[: end + 1], moves[: end + 1], end
-            count += succ.size
+                return FOUND, states[:count], parents[:count], moves[:count], count - 1
         lo, hi = hi, count
     return EXHAUSTED, states[:count], parents[:count], moves[:count], -1
 
 
-# ---------------------------------------------------------------------------
-# black-white-pebbling BFS over bit-mask configurations
-#
-# A state is one int64, black | white << n.  Discovery order is source-major:
-# each level's states are expanded in turn, each by move code kind * n + v
-# over the kinds place-black, remove-black, place-white, remove-white, and
-# only the first occurrence of a successor is kept.  The level is expanded
-# in chunks of sources, which keeps that order and bounds the working set.
-# The visited set is indexed by the base-3 code of (black, white): 3^n
-# entries, 4.8M at the 14-vertex cap, where one per 2n-bit word would take
-# 256 MB.
+def black_bfs(n, pred_masks, target, space_cap, state_cap):
+    """BFS from the empty configuration over configurations holding at most
+    ``space_cap`` pebbles.
+
+    Returns (status, states, parents, moves, target_index) as _level_bfs
+    does.  Move codes: v places a black pebble on vertex v, n+v removes it.
+    """
+    preds = np.asarray(pred_masks, dtype=np.int64)
+
+    def expand(level, visited):
+        # move-major: one batch per move (place on vertex 0..n-1, then remove
+        # from vertex 0..n-1) over the whole level; a move maps distinct
+        # states to distinct states
+        room = _popcount(level) < space_cap
+        for mv in range(2 * n):
+            v = mv % n
+            bit = np.int64(1) << v
+            if mv < n:  # room left, v empty and every predecessor pebbled
+                ok = room & ((level & (bit | preds[v])) == preds[v])
+            else:
+                ok = (level & bit) != 0
+            src = np.flatnonzero(ok)
+            succ = level[src] ^ bit
+            fresh = ~visited[succ]
+            succ, src = succ[fresh], src[fresh]
+            yield succ, src, np.full(succ.size, mv), succ
+
+    return _level_bfs(expand, 1 << n, target, state_cap)
+
+
+# A black-white state is one int64, black | white << n.  Its visited-set key
+# is the base-3 code of (black, white): 3^n keys, 4.8M at the 14-vertex cap,
+# where one per 2n-bit word would take 256 MB.
 
 _BW_CHUNK = 1 << 13
 
@@ -191,26 +202,20 @@ def bw_bfs(n, pred_masks, target, space_cap, state_cap):
     holding at most ``space_cap`` pebbles.
 
     Same return shape as black_bfs.  Move codes: kind * n + v for the kinds
-    pb, rb, pw, rw on vertex v.  OVERFLOW is returned as soon as more than
-    ``state_cap`` states, the empty one included, have been discovered.
+    pb, rb, pw, rw on vertex v.
     """
     full = (1 << n) - 1
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     wbits = bits << n
     preds = np.asarray(pred_masks, dtype=np.int64)
     base3 = _base3_table(n)
-    visited = np.zeros(3**n, dtype=bool)
-    size = min(state_cap, 3**n) + 1
-    states = np.empty(size, dtype=np.int64)
-    parents = np.empty(size, dtype=np.int64)
-    moves = np.empty(size, dtype=np.int64)
-    states[0], parents[0], moves[0] = 0, -1, -1
-    visited[0] = True
-    count = 1
-    lo, hi = 0, 1
-    while lo < hi:
-        for start in range(lo, hi, _BW_CHUNK):
-            src = states[start : min(start + _BW_CHUNK, hi), None]
+
+    def expand(level, visited):
+        # source-major: each source in turn, each by move code kind * n + v,
+        # keeping a successor's first occurrence; chunks of sources keep that
+        # order and bound the working set
+        for start in range(0, level.size, _BW_CHUNK):
+            src = level[start : start + _BW_CHUNK, None]
             black, white = src & full, src >> n
             on = black | white
             room = _popcount(on) < space_cap
@@ -231,26 +236,14 @@ def bw_bfs(n, pred_masks, target, space_cap, state_cap):
             cand = np.flatnonzero(ok)
             succ = succ.ravel()[cand]
             codes = base3[succ & full] + 2 * base3[succ >> n]
+            # the visited filter first: it shrinks what np.unique sorts
             fresh = ~visited[codes]
             cand, succ, codes = cand[fresh], succ[fresh], codes[fresh]
             first = np.sort(np.unique(codes, return_index=True)[1])
-            cand, succ, codes = cand[first], succ[first], codes[first]
-            if succ.size == 0:
-                continue
-            hit = np.flatnonzero(succ == target)
-            stop = int(hit[0]) + 1 if hit.size else succ.size
-            if count + stop > state_cap:
-                return OVERFLOW, states[:count], parents[:count], moves[:count], -1
-            new = slice(count, count + stop)
-            visited[codes[:stop]] = True
-            states[new] = succ[:stop]
-            parents[new] = start + cand[:stop] // (4 * n)
-            moves[new] = cand[:stop] % (4 * n)
-            count += stop
-            if hit.size:
-                return FOUND, states[:count], parents[:count], moves[:count], count - 1
-        lo, hi = hi, count
-    return EXHAUSTED, states[:count], parents[:count], moves[:count], -1
+            cand = cand[first]
+            yield succ[first], start + cand // (4 * n), cand % (4 * n), codes[first]
+
+    return _level_bfs(expand, 3**n, target, state_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .boolfunc import function_by_name, is_k_non_authoritarian
+from .boolfunc import function_by_name, is_k_non_authoritarian, substitute_formula
 from .compilers import compile_pebbling, compile_pebbling_rk, pebbling_formula
 from .errors import (
     CapExceededError,
@@ -31,6 +31,7 @@ from .formats import (
     derivation_from_text,
     derivation_to_text,
     graph_to_text,
+    kdnf_set_from_text,
     kdnf_set_to_text,
     pebbling_from_text,
     pebbling_to_text,
@@ -49,9 +50,8 @@ from .pebbling import (
     trivial_black_pebbling,
     validate_pebbling,
 )
-from .projection import extract_pebbling, project_invariant_audit
-from .proofs import check_refutation
-from .formats import kdnf_set_from_text
+from .projection import Projector, extract_pebbling, project_invariant_audit
+from .proofs import check_refutation, replay
 
 USAGE_EXIT, FAIL_EXIT, CAP_EXIT = 2, 1, 3
 
@@ -179,8 +179,7 @@ def cmd_extract(args):
     fm = pebbling_formula(dag, f)
     with open(args.proof) as fh:
         deriv = derivation_from_text(fh.read(), fm.cnf)
-    nonauth = is_k_non_authoritarian(f, 1)
-    result = extract_pebbling(deriv, dag, f, require_space_bound=nonauth)
+    result = extract_pebbling(deriv, dag, f)
     print(f"pebbling time={result.time} space={result.space}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -193,16 +192,10 @@ def cmd_project(args):
     f = _parse_function(args.f)
     with open(args.base) as fh:
         base, _, _ = cnf_from_dimacs(fh.read())
-    from .boolfunc import substitute_formula
-
     subbed = base if f.name == "identity" else substitute_formula(base, f)
     with open(args.proof) as fh:
         deriv = derivation_from_text(fh.read(), subbed)
-    from .proofs import replay
-
     log = replay(deriv)
-    from .projection import Projector
-
     projector = Projector(base, f)
     for t, cfg in enumerate(log.configs):
         projected = projector.project(cfg, mode=args.mode)
@@ -254,17 +247,15 @@ def _pipeline_report(dag, f, moves):
     ell = _indegree(dag)
     if measures.width > f.d * (ell + 1):
         return lines, f"width bound {f.d * (ell + 1)} violated"
-    nonauth = is_k_non_authoritarian(f, 1)
-    result = extract_pebbling(deriv, dag, f, require_space_bound=nonauth)
-    metrics = validate_pebbling(dag, result.moves)
-    lines.append(f"extracted pebbling: time={metrics.time} space={metrics.space}")
-    if metrics.time > (ell + 1) * measures.axiom_downloads:
+    result = extract_pebbling(deriv, dag, f)
+    lines.append(f"extracted pebbling: time={result.time} space={result.space}")
+    if result.time > (ell + 1) * measures.axiom_downloads:
         return lines, "extracted time exceeds (indegree+1) * downloads"
-    if nonauth:
-        if metrics.space > measures.formula_space:
+    if is_k_non_authoritarian(f, 1):
+        if result.space > measures.formula_space:
             return lines, "extracted space exceeds refutation space"
         lines.append(
-            f"space bound: space(P)={metrics.space} <= Sp(pi)={measures.formula_space}"
+            f"space bound: space(P)={result.space} <= Sp(pi)={measures.formula_space}"
         )
         audit = project_invariant_audit(deriv, fm.base, f)
         lines.append(f"projection audit: {audit.audited} configurations, ok={audit.ok}")

@@ -103,10 +103,6 @@ def _checked_black(dag, moves):
 # resolution compiler
 
 
-def _fragment_result(builder, idmap):
-    return idmap[max(idmap)]
-
-
 def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Derivation:
     """A syntactic resolution refutation of the (substituted) pebbling
     contradiction that follows the given complete black pebbling.
@@ -139,7 +135,7 @@ def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Deriv
             assert target not in premises, "goal clause cannot be a premise"
             frag = derive_implied_clause(premises, target)
             idmap = builder.inline(frag, bindings)
-            derived[target] = _fragment_result(builder, idmap)
+            derived[target] = idmap[max(idmap)]
         board[v] = derived
 
     for move in moves:

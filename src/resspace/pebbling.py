@@ -25,6 +25,7 @@ from .errors import (
     IllegalMoveError,
     IncompletePebblingError,
     InfeasibleError,
+    InvalidParamError,
     StateSpaceExceededError,
     WhitePebblePresentError,
 )
@@ -141,16 +142,34 @@ def trivial_black_pebbling(dag: Dag) -> tuple[Move, ...]:
 # exhaustive searches
 
 
-def _run_bfs(bfs, dag: Dag, space_cap: int):
-    """(found, witness) from one of the accel BFS kernels; its move code
-    kind * n + (v - 1) names MOVE_KINDS[kind] on vertex v."""
+# mode -> (vertex cap, game name, accel kernel).  The kernel is looked up by
+# name at call time, so a wrapper installed on the accel module is used.
+_SEARCHES = {
+    "black": ("BLACK_SEARCH_VERTICES", "black", "black_bfs"),
+    "black_white": ("BW_SEARCH_VERTICES", "black-white", "bw_bfs"),
+}
+
+
+def _search(dag: Dag, space_cap: int, mode: str):
+    """(found, witness) for complete pebblings of the game ``mode`` within
+    the space cap; the kernel's move code kind * n + (v - 1) names
+    MOVE_KINDS[kind] on vertex v."""
+    if mode not in _SEARCHES:
+        raise InvalidParamError(
+            f"unknown search mode {mode!r}; expected 'black' or 'black_white'"
+        )
+    cap_name, game, kernel = _SEARCHES[mode]
     n = dag.n
+    if n > get_cap(cap_name):
+        raise StateSpaceExceededError(
+            f"{n} vertices exceed {game} search cap {get_cap(cap_name)}"
+        )
     preds = [0] * n
     for v in range(1, n + 1):
         for u in dag.predecessors(v):
             preds[v - 1] |= 1 << (u - 1)
     target = 1 << (dag.sink - 1)
-    status, states, parents, moves, end = bfs(
+    status, states, parents, moves, end = getattr(accel, kernel)(
         n, preds, target, space_cap, get_cap("SEARCH_STATES")
     )
     if status == accel.OVERFLOW:
@@ -167,26 +186,6 @@ def _run_bfs(bfs, dag: Dag, space_cap: int):
     return True, tuple(out)
 
 
-def _black_search(dag: Dag, space_cap: int):
-    """(found, witness) for complete black pebblings within the space cap."""
-    n = dag.n
-    if n > get_cap("BLACK_SEARCH_VERTICES"):
-        raise StateSpaceExceededError(
-            f"{n} vertices exceed black search cap {get_cap('BLACK_SEARCH_VERTICES')}"
-        )
-    return _run_bfs(accel.black_bfs, dag, space_cap)
-
-
-def _bw_search(dag: Dag, space_cap: int):
-    """(found, witness) for complete black-white pebblings within the cap."""
-    if dag.n > get_cap("BW_SEARCH_VERTICES"):
-        raise StateSpaceExceededError(
-            f"{dag.n} vertices exceed black-white search cap "
-            f"{get_cap('BW_SEARCH_VERTICES')}"
-        )
-    return _run_bfs(accel.bw_bfs, dag, space_cap)
-
-
 def search_min_space(dag: Dag, mode: str = "black"):
     """Exact pebbling price with a witness strategy.
 
@@ -194,9 +193,8 @@ def search_min_space(dag: Dag, mode: str = "black"):
     game (BW-Peb).  The witness passes validate_pebbling at the returned
     space.
     """
-    search = {"black": _black_search, "black_white": _bw_search}[mode]
     for s in range(1, dag.n + 1):
-        found, witness = search(dag, s)
+        found, witness = _search(dag, s, mode)
         if found:
             return s, witness
     raise AssertionError("every DAG is pebbleable in space n")
@@ -205,8 +203,7 @@ def search_min_space(dag: Dag, mode: str = "black"):
 def search_min_time_given_space(dag: Dag, space: int, mode: str = "black"):
     """Exact minimum move count among complete pebblings with at most the
     given space; the BFS witness attains it."""
-    search = {"black": _black_search, "black_white": _bw_search}[mode]
-    found, witness = search(dag, space)
+    found, witness = _search(dag, space, mode)
     if not found:
         raise InfeasibleError(f"no complete pebbling within space {space}")
     return len(witness), witness

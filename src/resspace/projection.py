@@ -50,6 +50,7 @@ from .boolfunc import (
     substitute_clause,
 )
 from .caps import get_cap
+from .compilers import pebbling_formula
 from .errors import (
     AuthoritarianFunctionError,
     CapExceededError,
@@ -57,7 +58,7 @@ from .errors import (
     InvalidParamError,
 )
 from .logic import Clause, CnfFormula, KDnfFormula, _as_rows
-from .pebbling import Move
+from .pebbling import Move, validate_pebbling
 from .proofs import Derivation, DerivationBuilder, replay
 from .transforms import eliminate_weakening, make_frugal
 
@@ -104,7 +105,8 @@ class Projector:
     def project(self, formulas, mode="subset"):
         """The set of projected clauses of a configuration.
 
-        ``formulas``: clauses (subset mode) or k-DNF lines (either mode).
+        ``formulas``: clauses or k-DNF lines.  Subset mode reads 1-DNF lines
+        as clauses, whole-set mode reads clauses as 1-DNF lines.
         """
         members = []
         for formula in formulas:
@@ -116,6 +118,8 @@ class Projector:
                         f"width {width}; project k-DNF lines with --mode whole_set"
                     )
                 formula = formula.as_clause()
+            elif isinstance(formula, Clause) and mode != "subset":
+                formula = KDnfFormula.from_clause(formula)
             elif not isinstance(formula, (Clause, KDnfFormula)):
                 raise InvalidInputError(f"cannot project {type(formula).__name__}")
             members.append(formula)
@@ -386,8 +390,6 @@ def extract_pebbling(
     downloads place the (at most indegree+1) new pebbles; erasures drop
     pebbles; the sink keeps its black pebble once placed.
     """
-    from .compilers import pebbling_formula
-
     f = f or identity_function()
     if require_space_bound and not is_k_non_authoritarian(f, 1):
         raise AuthoritarianFunctionError(
@@ -448,9 +450,6 @@ def extract_pebbling(
         if not z_locked and z in black:
             z_locked = True
     retarget({z}, set())
-
-    from .pebbling import validate_pebbling
-
     metrics = validate_pebbling(dag, tuple(moves))
     return ExtractionResult(
         moves=tuple(moves),

@@ -5,6 +5,7 @@ from resspace.errors import (
     IllegalMoveError,
     IncompletePebblingError,
     InfeasibleError,
+    InvalidParamError,
     StateSpaceExceededError,
 )
 from resspace.graphs import (
@@ -19,7 +20,7 @@ from resspace.pebbling import (
     Move,
     PebbleConfig,
     apply_move,
-    _bw_search,
+    _search,
     replay,
     search_min_space,
     search_min_time_given_space,
@@ -177,6 +178,14 @@ def test_search_caps():
         search_min_space(path_graph(16), "black_white")
 
 
+def test_search_rejects_unknown_mode():
+    g = path_graph(3)
+    with pytest.raises(InvalidParamError, match="'black' or 'black_white'"):
+        search_min_space(g, "white")
+    with pytest.raises(InvalidParamError, match="'black' or 'black_white'"):
+        search_min_time_given_space(g, 3, "white")
+
+
 def test_min_time_path4_constant_beyond_two():
     g = path_graph(4)
     for s in (2, 3, 4):
@@ -282,7 +291,7 @@ def test_bw_search_matches_reference(name):
         assert validate_pebbling(g, want).space <= s
 
 
-def _bw_outcome(g, s, cap, search, monkeypatch):
+def _search_outcome(g, s, cap, search, monkeypatch):
     monkeypatch.setenv("RESSPACE_UNSAFE_SEARCH_STATES", str(cap))
     try:
         return search(g, s)
@@ -299,13 +308,116 @@ def test_bw_search_state_budget_matches_reference(name, monkeypatch):
         lo, hi = 0, 3**g.n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _bw_outcome(g, s, mid, _reference_bw_search, monkeypatch) == "over":
+            if _search_outcome(g, s, mid, _reference_bw_search, monkeypatch) == "over":
                 lo = mid
             else:
                 hi = mid
         assert lo > 0
         for cap in sorted({1, lo // 2, lo, hi, hi + 1}):
-            want = _bw_outcome(g, s, cap, _reference_bw_search, monkeypatch)
+            want = _search_outcome(g, s, cap, _reference_bw_search, monkeypatch)
             assert (want == "over") == (cap <= lo)
-            got = _bw_outcome(g, s, cap, _bw_search, monkeypatch)
+            got = _search_outcome(
+                g, s, cap, lambda g, s: _search(g, s, "black_white"), monkeypatch
+            )
+            assert got == want, (s, cap)
+
+
+# ---------------------------------------------------------------------------
+# black search against a frozenset BFS
+#
+# The reference is move-major: each level tries pb on v = 1..n, then rb on
+# v = 1..n, each move over the whole level in order.  It records the first
+# move reaching each configuration, overflows once the visited set holds more
+# than SEARCH_STATES configurations and stops at the target.
+
+
+def _reference_black_search(dag, space_cap):
+    """(found, witness); raises StateSpaceExceededError once the visited set
+    holds more than SEARCH_STATES configurations."""
+    target = frozenset({dag.sink})
+    state_cap = get_cap("SEARCH_STATES")
+    order = [Move("pb", v) for v in range(1, dag.n + 1)]
+    order += [Move("rb", v) for v in range(1, dag.n + 1)]
+    parent = {frozenset(): None}
+    frontier = [frozenset()]
+    while frontier:
+        nxt = []
+        for move in order:
+            v = move.vertex
+            for config in frontier:
+                if move.kind == "rb":
+                    if v not in config:
+                        continue
+                    succ = config - {v}
+                elif (
+                    v in config
+                    or len(config) >= space_cap
+                    or not all(u in config for u in dag.predecessors(v))
+                ):
+                    continue
+                else:
+                    succ = config | {v}
+                if succ in parent:
+                    continue
+                parent[succ] = (config, move)
+                if len(parent) > state_cap:
+                    raise StateSpaceExceededError("visited-state budget exhausted")
+                if succ == target:
+                    out = []
+                    while parent[succ] is not None:
+                        succ, move = parent[succ]
+                        out.append(move)
+                    return True, tuple(reversed(out))
+                nxt.append(succ)
+        frontier = nxt
+    return False, None
+
+
+_BLACK_ORACLE_GRAPHS = {
+    "pyramid:1": pyramid_graph(1),
+    "pyramid:2": pyramid_graph(2),
+    "pyramid:3": pyramid_graph(3),
+    "pyramid:4": pyramid_graph(4),
+    "path:4": path_graph(4),
+    "bit_reversal:1": bit_reversal_graph(1),
+    "bit_reversal:2": bit_reversal_graph(2),
+    "binary_tree:2": binary_tree_graph(2),
+    "binary_tree:3": binary_tree_graph(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLACK_ORACLE_GRAPHS))
+def test_black_search_matches_reference(name):
+    g = _BLACK_ORACLE_GRAPHS[name]
+    for s in range(1, g.n + 1):
+        found, want = _reference_black_search(g, s)
+        if not found:
+            with pytest.raises(InfeasibleError):
+                search_min_time_given_space(g, s, "black")
+            continue
+        assert search_min_time_given_space(g, s, "black") == (len(want), want)
+        assert validate_pebbling(g, want).space <= s
+
+
+@pytest.mark.parametrize("name", ["pyramid:2", "bit_reversal:1"])
+def test_black_search_state_budget_matches_reference(name, monkeypatch):
+    # as for the black-white search: bisect the smallest cap under which the
+    # reference fits, then compare at and around it
+    g = _BLACK_ORACLE_GRAPHS[name]
+    for s in range(1, g.n + 1):
+        lo, hi = 0, 2**g.n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            outcome = _search_outcome(g, s, mid, _reference_black_search, monkeypatch)
+            if outcome == "over":
+                lo = mid
+            else:
+                hi = mid
+        assert lo > 0
+        for cap in sorted({1, lo // 2, lo, hi, hi + 1}):
+            want = _search_outcome(g, s, cap, _reference_black_search, monkeypatch)
+            assert (want == "over") == (cap <= lo)
+            got = _search_outcome(
+                g, s, cap, lambda g, s: _search(g, s, "black"), monkeypatch
+            )
             assert got == want, (s, cap)

@@ -642,3 +642,13 @@ def test_project_rejects_a_member_that_is_no_clause_or_dnf(member):
     for mode in ("subset", "whole_set"):
         with pytest.raises(InvalidInputError, match="^cannot project "):
             Projector(BASE_XY, XOR2).project([Clause([1]), member], mode=mode)
+
+
+def test_whole_set_projects_mixed_clause_and_dnf_lines():
+    # whole-set mode reads a clause as a 1-DNF, so a configuration may mix both
+    dnf = [KDnfFormula([Term([1])], k=1), KDnfFormula([Term([2])], k=1)]
+    mixed = [Clause([1]), KDnfFormula([Term([2])], k=1)]
+    base = CnfFormula([[1, -2]])
+    want = project(dnf, base, xor_function(2), mode="whole_set")
+    assert want == frozenset({Clause([-1])})
+    assert project(mixed, base, xor_function(2), mode="whole_set") == want
