@@ -102,18 +102,6 @@ def find_counterexample(nvars, prem_side, conc_side):
 
 FOUND, EXHAUSTED, OVERFLOW = 0, 1, 2
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-def _popcount(arr):
-    return (
-        _POPCOUNT16[arr & 0xFFFF]
-        + _POPCOUNT16[(arr >> 16) & 0xFFFF]
-        + _POPCOUNT16[(arr >> 32) & 0xFFFF]
-        + _POPCOUNT16[(arr >> 48) & 0xFFFF]
-    )
-
-
 def _level_bfs(expand, nstates, target, state_cap):
     """BFS from state 0 (visited-set key 0) over what ``expand`` reaches,
     with a visited set of ``nstates`` keys.
@@ -165,7 +153,7 @@ def black_bfs(n, pred_masks, target, space_cap, state_cap):
         # move-major: one batch per move (place on vertex 0..n-1, then remove
         # from vertex 0..n-1) over the whole level; a move maps distinct
         # states to distinct states
-        room = _popcount(level) < space_cap
+        room = np.bitwise_count(level) < space_cap
         for mv in range(2 * n):
             v = mv % n
             bit = np.int64(1) << v
@@ -218,7 +206,7 @@ def bw_bfs(n, pred_masks, target, space_cap, state_cap):
             src = level[start : start + _BW_CHUNK, None]
             black, white = src & full, src >> n
             on = black | white
-            room = _popcount(on) < space_cap
+            room = np.bitwise_count(on) < space_cap
             empty = (on & bits) == 0
             ready = (on & preds) == preds
             ok = np.concatenate(
@@ -330,7 +318,7 @@ def cover_scan(masks, var_masks, npoints, max_cubes):
         vm = 0
         for c in chosen:
             vm |= var_masks[c]
-        nv = bin(vm).count("1")
+        nv = vm.bit_count()
         size_counts[m] += 1
         size_max_vars[m] = max(size_max_vars[m], nv)
         if nv >= m:

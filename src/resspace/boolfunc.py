@@ -58,16 +58,14 @@ def and_function(d: int) -> BooleanFunction:
 
 
 def xor_function(d: int) -> BooleanFunction:
-    return BooleanFunction("xor", d, [bin(i).count("1") % 2 == 1 for i in range(1 << d)])
+    return BooleanFunction("xor", d, [i.bit_count() % 2 == 1 for i in range(1 << d)])
 
 
 def threshold_function(d: int, k: int) -> BooleanFunction:
     """True when at least k of the d inputs are true."""
     if not 1 <= k <= d:
         raise InvalidParamError(f"threshold {k} out of range 1..{d}")
-    f = BooleanFunction(
-        f"thr{k}", d, [bin(i).count("1") >= k for i in range(1 << d)]
-    )
+    f = BooleanFunction(f"thr{k}", d, [i.bit_count() >= k for i in range(1 << d)])
     object.__setattr__(f, "_thr_k", k)
     return f
 
@@ -122,53 +120,27 @@ def function_by_name(name: str, d: int | None = None) -> BooleanFunction:
 # canonical clause representations
 
 
-def _fallback_clauses(f: BooleanFunction, want: bool) -> list[Clause]:
-    """One clause per assignment on which the function misses ``want``: the
-    clause true everywhere except at that assignment."""
-    out = []
-    for bits in range(1 << f.d):
-        if f.value(bits) != want:
-            out.append(
-                Clause(
-                    [(i + 1) if not ((bits >> i) & 1) else -(i + 1) for i in range(f.d)]
-                )
-            )
-    return out
-
-
 def canonical_clauses(f: BooleanFunction, positive: bool = True) -> CnfFormula:
     """The canonical CNF over variables 1..d representing f (or its negation).
 
-    Named functions use hand-picked representations (subset clauses for
-    thresholds, parity-filtered full clauses for xor); anything else falls
-    back to the one-clause-per-falsifying-assignment construction.
+    Two rules: a threshold "at least k of d" gets its subset clauses (every
+    d-k+1 inputs contain a true one; for the negation, every k inputs contain
+    a false one); any other function gets one clause per assignment on which
+    it misses the wanted value, the clause true everywhere except there.
     """
     d = f.d
-    if f.name == "identity":
-        return CnfFormula([Clause([1 if positive else -1])])
     k = threshold_of(f)
     if k is not None:
         if positive:
-            clauses = [
-                Clause([v for v in s])
-                for s in itertools.combinations(range(1, d + 1), d - k + 1)
-            ]
-        else:
-            clauses = [
-                Clause([-v for v in s])
-                for s in itertools.combinations(range(1, d + 1), k)
-            ]
-        return CnfFormula(clauses)
-    if f.name == "xor":
-        want_parity = d % 2 if positive else (d + 1) % 2
-        clauses = []
-        for signs in itertools.product((1, 0), repeat=d):
-            if sum(signs) % 2 == want_parity:
-                clauses.append(
-                    Clause([(i + 1) if s else -(i + 1) for i, s in enumerate(signs)])
-                )
-        return CnfFormula(clauses)
-    return CnfFormula(_fallback_clauses(f, want=positive))
+            subsets = itertools.combinations(range(1, d + 1), d - k + 1)
+            return CnfFormula(Clause(s) for s in subsets)
+        subsets = itertools.combinations(range(1, d + 1), k)
+        return CnfFormula(Clause([-v for v in s]) for s in subsets)
+    return CnfFormula(
+        Clause([-(i + 1) if (bits >> i) & 1 else i + 1 for i in range(d)])
+        for bits in range(1 << d)
+        if f.value(bits) != positive
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ set; the sink's set finally clashes with the sink axioms.
 
 ``compile_pebbling_rk`` produces a k-DNF refutation (k = the substitution
 arity) in which each pebbled vertex is represented by a single DNF line.
+A block's DNF is not chosen here: it is the De Morgan negation of the
+clauses that the substitution uses for the opposite literal, so
+``boolfunc.canonical_clauses`` is the one rule for both representations.
 The line for a substituted axiom is assembled block by block: within one
 block, every clause picking a literal from each DNF term is derived from
 the block's clause set (resolving inside the block also reaches the
@@ -27,13 +30,10 @@ from dataclasses import dataclass
 
 from .boolfunc import (
     BooleanFunction,
-    SubstitutionVarMap,
     identity_function,
     literal_substitution,
-    minterm_dnf,
     substitute_clause,
     substitute_formula,
-    threshold_of,
 )
 from .errors import (
     IllegalMoveError,
@@ -165,39 +165,27 @@ def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Deriv
 
 
 def dnf_representation(f: BooleanFunction, var: int, positive: bool) -> KDnfFormula:
-    """A d-DNF representing f (or its negation) over the block of ``var``,
-    chosen so that within-block resolution can reach every pick clause:
-    threshold-style functions get subset DNFs whose terms never conflict,
-    parity-style functions get minterms (their clause sets support the
-    needed cuts)."""
-    d = f.d
-    varmap = SubstitutionVarMap(d)
-    block = varmap.block(var)
-    if f.name == "identity":
-        return KDnfFormula([Term([block[0] if positive else -block[0]])], k=d)
-    thr_k = threshold_of(f)
-    if thr_k is not None:
-        if positive:
-            terms = [
-                Term([block[i] for i in s])
-                for s in itertools.combinations(range(d), thr_k)
-            ]
-        else:
-            terms = [
-                Term([-block[i] for i in s])
-                for s in itertools.combinations(range(d), d - thr_k + 1)
-            ]
-        return KDnfFormula(terms, k=d)
-    return minterm_dnf(f, var, positive=positive, k=d)
+    """A d-DNF representing f (or its negation) over the block of ``var``:
+    by De Morgan, the negation of each clause that ``literal_substitution``
+    gives for the opposite literal.  Thresholds thus get subset DNFs whose
+    terms never conflict and every other function its minterms, and
+    within-block resolution from the block's clause set reaches every pick
+    clause of either."""
+    opposite = literal_substitution(-var if positive else var, f)
+    return KDnfFormula([Term([-l for l in c.lits]) for c in opposite], k=f.d)
 
 
 # ---------------------------------------------------------------------------
 # within-block resolution closure
 
 
-def _resolution_closure(clauses, cap=100_000):
+_CLOSURE_CAP = 100_000
+
+
+def _resolution_closure(clauses):
     """All clauses (trivial ones included) reachable from the given set by
-    resolution, with one derivation recipe each."""
+    resolution, with one derivation recipe each; more than _CLOSURE_CAP
+    clauses raise NotImpliedError."""
     reach = {c: ("axiom",) for c in clauses}
     frontier = list(clauses)
     while frontier:
@@ -214,7 +202,7 @@ def _resolution_closure(clauses, cap=100_000):
                     if r not in reach:
                         reach[r] = ("cut", a, b, pivot)
                         nxt.append(r)
-                    if len(reach) > cap:
+                    if len(reach) > _CLOSURE_CAP:
                         raise NotImpliedError("resolution closure too large")
         frontier = nxt
     return reach
@@ -224,11 +212,10 @@ class _BlockScope:
     """Derives clauses of one block (plus a fixed disjunctive context) from
     a group of context-carrying lines."""
 
-    def __init__(self, builder, group: dict[Clause, int], ctx_terms, borrowed_ids):
+    def __init__(self, builder, group: dict[Clause, int], ctx_terms):
         self.builder = builder
         self.group = group
         self.ctx = tuple(ctx_terms)
-        self.borrowed = set(borrowed_ids)
         self.closure = _resolution_closure(list(group))
 
     def line_formula(self, block_clause: Clause) -> KDnfFormula:
@@ -270,15 +257,15 @@ class _BlockScope:
         return out
 
 
-def _dnf_ladder(builder, terms, ctx_terms, base_fn) -> int:
+def _dnf_ladder(scope: _BlockScope, terms) -> int:
     """Merge pick clauses into full DNF terms with conjunction-introduction.
 
-    ``base_fn(jvec)`` supplies a line for the clause picking literal jvec[i]
-    from terms[i] (joined with the context); every ingredient line is erased
-    right after its single use.
+    The scope derives the line for the clause picking literal jvec[i] from
+    terms[i] (joined with the scope's context); every ingredient line is
+    erased right after its single use.
     """
+    builder = scope.builder
     terms = list(terms)
-    k = builder.k
 
     def formula_at(s_prime, jvec, partial=None):
         parts = [terms[i] for i in range(s_prime)]
@@ -288,11 +275,11 @@ def _dnf_ladder(builder, terms, ctx_terms, base_fn) -> int:
             base += 1
         for off, j in enumerate(jvec):
             parts.append(Term([terms[base + off].lits[j]]))
-        return KDnfFormula(parts + list(ctx_terms), k=k)
+        return KDnfFormula(parts + list(scope.ctx), k=builder.k)
 
     def derive_level(s_prime, jvec) -> int:
         if s_prime == 0:
-            return base_fn(jvec)
+            return scope.derive(Clause([terms[i].lits[j] for i, j in enumerate(jvec)]))
         term = terms[s_prime - 1]
         acc = derive_level(s_prime - 1, (0,) + jvec)
         for idx in range(1, len(term.lits)):
@@ -308,9 +295,11 @@ def _dnf_ladder(builder, terms, ctx_terms, base_fn) -> int:
 
 
 def derive_substituted_line(builder, axiom_clause: Clause, f: BooleanFunction,
-                            bindings: dict[Clause, int]) -> int:
+                            bindings: dict[Clause, int],
+                            dnfs: dict[int, KDnfFormula]) -> int:
     """From the downloaded clauses of axiom_clause[f], derive the single
-    k-DNF line that disjoins the per-literal DNF representations.
+    k-DNF line that disjoins the per-literal DNF representations, ``dnfs``
+    (``dnf_representation`` of each literal of the clause).
 
     Blocks are handled one at a time: for every fixed choice of clauses in
     the later blocks, the current block's clause set (with that context) is
@@ -319,7 +308,7 @@ def derive_substituted_line(builder, axiom_clause: Clause, f: BooleanFunction,
     """
     lits = axiom_clause.lits
     cl_sets = [tuple(literal_substitution(a, f)) for a in lits]
-    reps = [dnf_representation(f, abs(a), positive=a > 0) for a in lits]
+    reps = [dnfs[a] for a in lits]
 
     lines = {}
     for choice in itertools.product(*cl_sets):
@@ -334,16 +323,8 @@ def derive_substituted_line(builder, axiom_clause: Clause, f: BooleanFunction,
         for suffix, members in grouped.items():
             ctx = [t for rep in reps[:j] for t in rep.terms]
             ctx += [Term([l]) for c in suffix for l in c.lits]
-            group_ids = {c: e[0] for c, e in members.items()}
-            borrowed = {e[0] for e in members.values() if e[1]}
-            scope = _BlockScope(builder, group_ids, ctx, borrowed)
-            terms = list(reps[j].terms)
-
-            def base_fn(jvec):
-                want = Clause([terms[i].lits[jj] for i, jj in enumerate(jvec)])
-                return scope.derive(want)
-
-            line = _dnf_ladder(builder, terms, ctx, base_fn)
+            scope = _BlockScope(builder, {c: e[0] for c, e in members.items()}, ctx)
+            line = _dnf_ladder(scope, reps[j].terms)
             for c, (i, is_borrowed) in members.items():
                 if not is_borrowed:
                     builder.erase(i)
@@ -359,14 +340,7 @@ def derive_dnf_from_cnf(clauses: CnfFormula, dnf: KDnfFormula, k: int) -> Deriva
     derive every pick clause by resolution, merge literals into terms)."""
     builder = DerivationBuilder(clauses, k=k)
     bindings = {c: builder.download(c) for c in clauses}
-    scope = _BlockScope(builder, bindings, (), set(bindings.values()))
-    terms = list(dnf.terms)
-
-    def base_fn(jvec):
-        want = Clause([terms[i].lits[j] for i, j in enumerate(jvec)])
-        return scope.derive(want)
-
-    line = _dnf_ladder(builder, terms, (), base_fn)
+    line = _dnf_ladder(_BlockScope(builder, bindings, ()), dnf.terms)
     if builder.value(line) != dnf.with_k(k):
         raise AssertionError("ladder did not produce the requested DNF")
     for i in bindings.values():
@@ -439,13 +413,13 @@ def compile_pebbling_rk(dag: Dag, moves, f: BooleanFunction) -> Derivation:
     builder = DerivationBuilder(fm.cnf, k=k)
     board: dict[int, int] = {}
 
-    def with_downloads(axiom_clause, act):
+    def substituted_line(axiom_clause, dnfs):
         axioms = substitute_clause(axiom_clause, f)
         bindings = {c: builder.download(c) for c in axioms}
-        result = act(bindings)
+        line = derive_substituted_line(builder, axiom_clause, f, bindings, dnfs)
         for i in bindings.values():
             builder.erase(i)
-        return result
+        return line
 
     for move in moves:
         v = move.vertex
@@ -454,20 +428,15 @@ def compile_pebbling_rk(dag: Dag, moves, f: BooleanFunction) -> Derivation:
             continue
         preds = dag.predecessors(v)
         axiom = source_axiom(v) if not preds else propagation_axiom(dag, v)
-        line = with_downloads(
-            axiom, lambda b: derive_substituted_line(builder, axiom, f, b)
-        )
+        dnfs = {a: dnf_representation(f, abs(a), positive=a > 0) for a in axiom.lits}
+        line = substituted_line(axiom, dnfs)
         for u in preds:
-            piece = dnf_representation(f, u, positive=False)
-            line = cut_away_terms(builder, line, piece.terms, board[u])
-        assert builder.value(line) == dnf_representation(f, v, positive=True)
+            line = cut_away_terms(builder, line, dnfs[-u].terms, board[u])
+        assert builder.value(line) == dnfs[v]
         board[v] = line
 
     z = dag.sink
-    neg_line = with_downloads(
-        sink_axiom(z),
-        lambda b: derive_substituted_line(builder, sink_axiom(z), f, b),
-    )
+    neg_line = substituted_line(sink_axiom(z), {-z: dnf_representation(f, z, False)})
     final = cut_away_terms(
         builder, board.pop(z), dnf_representation(f, z, positive=True).terms, neg_line
     )

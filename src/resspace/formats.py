@@ -317,8 +317,12 @@ def kdnf_set_from_text(text: str):
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "kdnf":
                     raise FormatError("bad kdnf header")
+                if k is not None:
+                    raise FormatError("second kdnf header")
                 fields = dict(p.split("=", 1) for p in parts[2:])
-                k = int(fields["k"])
+                k, declared = int(fields["k"]), int(fields["m"])
+                if k < 1:
+                    raise FormatError(f"k={k} is not positive")
                 continue
             if k is None:
                 raise FormatError("formula before kdnf header")
@@ -327,4 +331,6 @@ def kdnf_set_from_text(text: str):
             raise _line_error(n, line, e) from None
     if k is None:
         raise FormatError("missing kdnf header")
+    if declared != len(formulas):
+        raise FormatError(f"declared {declared} formulas, found {len(formulas)}")
     return formulas, k

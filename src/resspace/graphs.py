@@ -5,6 +5,7 @@ graphs)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CycleError,
@@ -31,39 +32,35 @@ class Dag:
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
 
     def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._preds()[v]
+        return self._preds[v]
 
     def successors(self, v: int) -> tuple[int, ...]:
-        return self._succs()[v]
+        return self._succs[v]
 
-    def _preds(self):
-        preds = getattr(self, "_pred_cache", None)
-        if preds is None:
-            preds = {v: [] for v in range(1, self.n + 1)}
-            for u, v in self.edges:
-                preds[v].append(u)
-            preds = {v: tuple(sorted(ps)) for v, ps in preds.items()}
-            object.__setattr__(self, "_pred_cache", preds)
-        return preds
+    @cached_property
+    def _preds(self) -> dict[int, tuple[int, ...]]:
+        # computed on first use; not a field, so equality and hash still see
+        # only the declared fields
+        preds = {v: [] for v in range(1, self.n + 1)}
+        for u, v in self.edges:
+            preds[v].append(u)
+        return {v: tuple(sorted(ps)) for v, ps in preds.items()}
 
-    def _succs(self):
-        succs = getattr(self, "_succ_cache", None)
-        if succs is None:
-            succs = {v: [] for v in range(1, self.n + 1)}
-            for u, v in self.edges:
-                succs[u].append(v)
-            succs = {v: tuple(sorted(ss)) for v, ss in succs.items()}
-            object.__setattr__(self, "_succ_cache", succs)
-        return succs
+    @cached_property
+    def _succs(self) -> dict[int, tuple[int, ...]]:
+        succs = {v: [] for v in range(1, self.n + 1)}
+        for u, v in self.edges:
+            succs[u].append(v)
+        return {v: tuple(sorted(ss)) for v, ss in succs.items()}
 
     @property
     def sources(self) -> tuple[int, ...]:
-        preds = self._preds()
+        preds = self._preds
         return tuple(v for v in range(1, self.n + 1) if not preds[v])
 
     @property
     def sink(self) -> int:
-        succs = self._succs()
+        succs = self._succs
         sinks = [v for v in range(1, self.n + 1) if not succs[v]]
         if len(sinks) != 1:
             raise MultipleSinksError(f"expected one sink, found {sinks}")

@@ -261,13 +261,7 @@ def translate_refutation(
     side-clauses, and resolving away the literals of A outside the target.
     The output downloads at most one axiom per input download.
     """
-    return _translate_log(replay(deriv), base_formula, f)
-
-
-def _translate_log(
-    log, base_formula: CnfFormula, f: BooleanFunction
-) -> TranslationResult:
-    """translate_refutation on the replay log of its input."""
+    log = replay(deriv)
     if not log.refuted:
         raise InvalidInputError("input does not refute the substituted formula")
     axmap = _axiom_of(base_formula, f)
@@ -372,8 +366,6 @@ class ExtractionResult:
     time: int
     space: int
     frugal_variable_space: int
-    input_formula_space: int
-    input_axiom_downloads: int
 
 
 def extract_pebbling(
@@ -395,12 +387,11 @@ def extract_pebbling(
         raise AuthoritarianFunctionError(
             f"{f.name} is authoritarian: the space bound does not transfer"
         )
-    fm = pebbling_formula(dag, f)
-    input_log = replay(deriv)
     if f.name == "identity":
         base_deriv = deriv
     else:
-        base_deriv = _translate_log(input_log, fm.base, f).derivation
+        base = pebbling_formula(dag, f).base
+        base_deriv = translate_refutation(deriv, base, f).derivation
     frugal = make_frugal(eliminate_weakening(base_deriv))
     log = replay(frugal)
 
@@ -456,8 +447,6 @@ def extract_pebbling(
         time=metrics.time,
         space=metrics.space,
         frugal_variable_space=log.measures.variable_space,
-        input_formula_space=input_log.measures.formula_space,
-        input_axiom_downloads=input_log.measures.axiom_downloads,
     )
 
 

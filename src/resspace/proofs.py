@@ -506,7 +506,7 @@ class DerivationBuilder:
 # implicational completeness: deriving an implied clause
 
 
-def derive_implied_clause(premises, target: Clause, cap=None) -> Derivation:
+def derive_implied_clause(premises, target: Clause) -> Derivation:
     """A resolution derivation of ``target`` from the premise clauses, built
     from a decision tree that queries variables in ascending order.
 
@@ -519,7 +519,7 @@ def derive_implied_clause(premises, target: Clause, cap=None) -> Derivation:
     """
     premises = [c if isinstance(c, Clause) else Clause(c) for c in premises]
     source = CnfFormula(premises)
-    if not implies(list(source), [target], cap=cap):
+    if not implies(list(source), [target]):
         raise NotImpliedError(f"premises do not imply {target.lits}")
     builder = DerivationBuilder(source, k=1)
     if target.lits:

@@ -55,6 +55,21 @@ def test_xor2_golden():
     )
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_xor_clauses_are_parity_filtered_full_clauses(d):
+    # xor (positive) is falsified exactly at even-weight inputs, whose
+    # excluding clauses have d - weight positive literals: d's parity; the
+    # negation's clauses have the other parity
+    for positive in (True, False):
+        want_parity = d % 2 if positive else (d + 1) % 2
+        clauses = [
+            Clause([(i + 1) if s else -(i + 1) for i, s in enumerate(signs)])
+            for signs in itertools.product((1, 0), repeat=d)
+            if sum(signs) % 2 == want_parity
+        ]
+        assert canonical_clauses(xor_function(d), positive) == CnfFormula(clauses)
+
+
 def test_thr42_golden():
     pos = canonical_clauses(threshold_function(4, 2), positive=True)
     assert pos == CnfFormula([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])

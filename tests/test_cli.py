@@ -182,6 +182,23 @@ def test_minunsat_check(tmp_path, capsys):
     assert "minimally-unsatisfiable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p kdnf k=0 m=1\n1\n",
+        "p kdnf k=1 m=1\n1\np kdnf k=2 m=1\n-1\n",
+        "p kdnf k=1 m=3\n1\n-1\n",
+    ],
+)
+def test_minunsat_check_malformed_header_exits_2(tmp_path, capsys, text):
+    f = tmp_path / "set.kdnf"
+    f.write_text(text)
+    assert run(["minunsat", "--check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "error [FORMAT]" in err
+    assert "Traceback" not in err
+
+
 def test_minunsat_enumerate(capsys):
     assert run(["minunsat", "--k", "1", "--max-vars", "2", "--max-formulas", "3"]) == 0
     out = capsys.readouterr().out

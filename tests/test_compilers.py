@@ -1,7 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from resspace.boolfunc import (
+    and_function,
     canonical_clauses,
+    custom_function,
+    identity_function,
+    majority_function,
+    minterm_dnf,
     or_function,
     threshold_function,
     xor_function,
@@ -135,6 +143,56 @@ def test_dnf_representation_semantics():
             )
             assert evaluate(rep, alpha) == f.value(bits)
             assert evaluate(neg, alpha) == (not f.value(bits))
+
+
+def _named_up_to_8():
+    """Every named function up to arity 8, with its threshold k or None."""
+    out = [(identity_function(), None)]
+    for d in range(1, 9):
+        out += [(or_function(d), 1), (and_function(d), d), (xor_function(d), None)]
+        if d % 2:
+            out.append((majority_function(d), (d + 1) // 2))
+        out += [(threshold_function(d, k), k) for k in range(1, d + 1)]
+    return out
+
+
+def _seeded_tables(count):
+    rng = random.Random(20101)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 5)
+        table = [rng.random() < 0.5 for _ in range(1 << d)]
+        if any(table) and not all(table):
+            out.append(custom_function(table))
+    return out
+
+
+def _subset_dnf(f, var, k, positive):
+    """At least k of the block's inputs true: some k of them are; the
+    negation: some d-k+1 of them are false."""
+    block = [f.d * (var - 1) + j for j in range(1, f.d + 1)]
+    if positive:
+        terms = [Term(s) for s in itertools.combinations(block, k)]
+    else:
+        terms = [
+            Term([-v for v in s]) for s in itertools.combinations(block, f.d - k + 1)
+        ]
+    return KDnfFormula(terms, k=f.d)
+
+
+@pytest.mark.parametrize(
+    "f, k",
+    _named_up_to_8() + [(f, None) for f in _seeded_tables(20)],
+    ids=lambda x: f"{x.name}:{x.d}" if hasattr(x, "d") else None,
+)
+def test_dnf_representation_is_subsets_or_minterms(f, k):
+    # thresholds get the k-subset DNF, every other function its minterms
+    for var, positive in itertools.product((1, 3), (True, False)):
+        got = dnf_representation(f, var, positive)
+        if k is None:
+            assert got == minterm_dnf(f, var, positive=positive, k=f.d)
+        else:
+            assert got == _subset_dnf(f, var, k, positive)
 
 
 def test_xor_walkthrough_ladder():

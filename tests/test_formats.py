@@ -113,6 +113,12 @@ def test_kdnf_set_round_trip():
     assert back == formulas
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_kdnf_set_formula_count_must_match_header(m):
+    with pytest.raises(FormatError, match=f"^declared {m} formulas, found 2$"):
+        kdnf_set_from_text(f"p kdnf k=1 m={m}\n1\n-1\n")
+
+
 def test_proof_trace_golden_bytes():
     from resspace.formats import derivation_to_text
     from resspace.logic import CnfFormula
@@ -144,6 +150,10 @@ PROOF_HEAD = "p proof k=1 mode=syntactic\n"
         (graph_from_text, "e 1 2\ne 2 y\n", 2),
         (kdnf_set_from_text, "p kdnf k=x m=1\n1\n", 1),
         (kdnf_set_from_text, "p kdnf m=1 n=2\n1\n", 1),
+        (kdnf_set_from_text, "p kdnf k=1 n=1\n1\n", 1),
+        (kdnf_set_from_text, "p kdnf k=0 m=1\n1\n", 1),
+        (kdnf_set_from_text, "p kdnf k=-2 m=1\n1\n", 1),
+        (kdnf_set_from_text, "p kdnf k=1 m=1\n1\np kdnf k=2 m=1\n", 3),
         (_proof_from_text, PROOF_HEAD + "a 1\ne abc\n", 3),
         (_proof_from_text, PROOF_HEAD + "i cut 1 z : F\n", 2),
         (_proof_from_text, PROOF_HEAD + "a 1^2\n", 2),
