@@ -11,6 +11,7 @@ output is stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -120,6 +121,7 @@ def function_by_name(name: str, d: int | None = None) -> BooleanFunction:
 # canonical clause representations
 
 
+@functools.cache
 def canonical_clauses(f: BooleanFunction, positive: bool = True) -> CnfFormula:
     """The canonical CNF over variables 1..d representing f (or its negation).
 
@@ -127,6 +129,8 @@ def canonical_clauses(f: BooleanFunction, positive: bool = True) -> CnfFormula:
     d-k+1 inputs contain a true one; for the negation, every k inputs contain
     a false one); any other function gets one clause per assignment on which
     it misses the wanted value, the clause true everywhere except there.
+    The result is immutable and depends only on (f, positive), so it is
+    built once per pair.
     """
     d = f.d
     k = threshold_of(f)

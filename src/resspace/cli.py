@@ -50,7 +50,7 @@ from .pebbling import (
     trivial_black_pebbling,
     validate_pebbling,
 )
-from .projection import Projector, extract_pebbling, project_invariant_audit
+from .projection import extract_pebbling, project_invariant_audit, shared_projector
 from .proofs import check_refutation, replay
 
 USAGE_EXIT, FAIL_EXIT, CAP_EXIT = 2, 1, 3
@@ -196,9 +196,9 @@ def cmd_project(args):
     with open(args.proof) as fh:
         deriv = derivation_from_text(fh.read(), subbed)
     log = replay(deriv)
-    projector = Projector(base, f)
+    projector = shared_projector(base, f)
     for t, cfg in enumerate(log.configs):
-        projected = projector.project(cfg, mode=args.mode)
+        projected = projector.project_board(cfg, mode=args.mode)
         shown = " ".join(
             "0" if not c.lits else "|".join(str(l) for l in c.lits)
             for c in sorted(projected)

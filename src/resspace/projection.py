@@ -37,6 +37,7 @@ satisfied-member set containing the members common so far.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +73,24 @@ class Projector:
         self.base = base_formula
         self.f = f
         self.varmap = SubstitutionVarMap(f.d)
-        base_vars = sorted(base_formula.variables())
-        if len(base_vars) > get_cap("PROJECT_BASE_VARS"):
-            raise CapExceededError(
-                f"{len(base_vars)} base variables exceed projection cap"
-            )
-        self.base_vars = base_vars
+        self.base_vars = sorted(base_formula.variables())
         self._table = np.asarray(f.table, dtype=np.int64)
+        self._memo = {}  # (board, mode) -> projected clauses
+
+    def _check_caps(self, n_formulas, mode):
+        """The caps on the base variables and on the formulas of one
+        configuration; read on every call, so a lowered cap takes effect."""
+        if len(self.base_vars) > get_cap("PROJECT_BASE_VARS"):
+            raise CapExceededError(
+                f"{len(self.base_vars)} base variables exceed projection cap"
+            )
+        cap = get_cap(
+            "PROJECT_SUBSET_FORMULAS" if mode == "subset" else "PROJECT_WHOLESET_FORMULAS"
+        )
+        if n_formulas > cap:
+            raise CapExceededError(f"{n_formulas} formulas exceed projection cap")
+        if mode == "subset" and n_formulas > 63:
+            raise CapExceededError("subset mode supports at most 63 formulas")
 
     def _space(self, shadow_vars):
         """Assignment space over the blocks of the given original variables:
@@ -124,13 +136,7 @@ class Projector:
                 raise InvalidInputError(f"cannot project {type(formula).__name__}")
             members.append(formula)
         members = sorted(set(members))
-        cap = get_cap(
-            "PROJECT_SUBSET_FORMULAS" if mode == "subset" else "PROJECT_WHOLESET_FORMULAS"
-        )
-        if len(members) > cap:
-            raise CapExceededError(f"{len(members)} formulas exceed projection cap")
-        if mode == "subset" and len(members) > 63:
-            raise CapExceededError("subset mode supports at most 63 formulas")
+        self._check_caps(len(members), mode)
 
         shadow = sorted(
             self.varmap.shadow(
@@ -203,6 +209,29 @@ class Projector:
                     )
         return frozenset(projected)
 
+    def project_board(self, board, mode="subset"):
+        """``project`` of a replay board, memoised per (set of lines, mode).
+
+        A board's lines are distinct formulas of one k, so its line count is
+        the formula count ``project`` checks: the caps are checked here on
+        every call, hits included, and a call that raises stores nothing.
+        """
+        lines = frozenset(board)
+        self._check_caps(len(lines), mode)
+        key = (lines, mode)
+        if key not in self._memo:
+            self._memo[key] = self.project(lines, mode=mode)
+        return self._memo[key]
+
+
+@functools.lru_cache(maxsize=1)
+def shared_projector(base_formula: CnfFormula, f: BooleanFunction) -> Projector:
+    """The Projector of (base_formula, f), the same object for an equal
+    pair until another pair is asked for.  Translating and then auditing
+    one derivation thus project each board once; only one entry is kept, so
+    nothing carries over to the next formula."""
+    return Projector(base_formula, f)
+
 
 def _submasks(V):
     """Every q with q & V == q, from V down to 0."""
@@ -259,13 +288,19 @@ def translate_refutation(
     new clauses appearing on an axiom download of D in A[f] are derived by
     downloading A once, weakening projected clauses into the required
     side-clauses, and resolving away the literals of A outside the target.
-    The output downloads at most one axiom per input download.
+    The output downloads at most one axiom per input download.  Only
+    resolution (k=1) refutations are translated: the whole-set projection
+    of a k-DNF board can shrink on a download or an inference.
     """
+    if deriv.k > 1:
+        raise InvalidParamError(
+            f"translation handles resolution (k=1) refutations only, not k={deriv.k}"
+        )
     log = replay(deriv)
     if not log.refuted:
         raise InvalidInputError("input does not refute the substituted formula")
     axmap = _axiom_of(base_formula, f)
-    projector = Projector(base_formula, f)
+    projector = shared_projector(base_formula, f)
     out = DerivationBuilder(base_formula, k=1)
     board: dict[Clause, int] = {}
     prev = frozenset()
@@ -323,7 +358,7 @@ def translate_refutation(
     zero = Clause()
     for t, ev in enumerate(log.events):
         cfg = log.configs[t + 1]
-        cur = projector.project(cfg, mode="subset")
+        cur = projector.project_board(cfg, mode="subset")
         sequence.append(cur)
         added = sorted(cur - prev)
         removed = sorted(prev - cur)
@@ -476,7 +511,7 @@ def project_invariant_audit(
             f"{f.name} is authoritarian: the audit preconditions fail"
         )
     log = replay(deriv)
-    projector = Projector(base_formula, f)
+    projector = shared_projector(base_formula, f)
     mode = "subset" if deriv.k == 1 else "whole_set"
     varmap = SubstitutionVarMap(f.d)
     violations = []
@@ -484,7 +519,7 @@ def project_invariant_audit(
     for t, cfg in enumerate(log.configs):
         if not cfg:
             continue
-        projected = projector.project(cfg, mode=mode)
+        projected = projector.project_board(cfg, mode=mode)
         if not projected:
             continue
         audited += 1

@@ -296,6 +296,20 @@ def test_project_kdnf_proof_in_subset_mode_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("{0}")
 
 
+def test_extract_kdnf_proof_exits_2(tmp_path, capsys):
+    # translation takes resolution refutations; extract has no --mode to offer
+    proof = tmp_path / "p.proof"
+    run(["compile", "--graph", "path:3", "--f", "maj:3", "--k", "d", "--out", str(proof)])
+    capsys.readouterr()
+    argv = ["extract", "--graph", "path:3", "--f", "maj:3", "--proof", str(proof)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error [INVALID_PARAM]" in err
+    assert "resolution (k=1) refutations only" in err
+    assert "--mode" not in err
+    assert "Traceback" not in err
+
+
 def test_check_bad_dimacs_literal_is_a_format_error(tmp_path, capsys):
     out = tmp_path / "peb"
     run(["compile", "--graph", "path:2", "--f", "identity", "--out", str(out)])

@@ -3,16 +3,22 @@ import itertools
 import pytest
 
 from resspace.boolfunc import or_function, xor_function
-from resspace.compilers import compile_pebbling, pebbling_formula
-from resspace.errors import AuthoritarianFunctionError
+from resspace.compilers import compile_pebbling, compile_pebbling_rk, pebbling_formula
+from resspace.errors import (
+    AuthoritarianFunctionError,
+    CapExceededError,
+    InvalidParamError,
+)
 from resspace.graphs import bit_reversal_graph, path_graph, pyramid_graph
 from resspace.logic import Clause, CnfFormula, KDnfFormula, Term, implies
 
 from resspace.pebbling import trivial_black_pebbling, validate_pebbling
 from resspace.projection import (
+    Projector,
     extract_pebbling,
     project,
     project_invariant_audit,
+    shared_projector,
     translate_refutation,
 )
 from resspace.proofs import check_refutation, replay
@@ -652,3 +658,130 @@ def test_whole_set_projects_mixed_clause_and_dnf_lines():
     want = project(dnf, base, xor_function(2), mode="whole_set")
     assert want == frozenset({Clause([-1])})
     assert project(mixed, base, xor_function(2), mode="whole_set") == want
+
+
+# --- the shared projector ----------------------------------------------------
+
+
+def _count_projections(monkeypatch):
+    """Record every call of Projector.project, the one function that
+    computes a projection."""
+    calls = []
+    original = Projector.project
+
+    def counted(self, formulas, mode="subset"):
+        calls.append((frozenset(formulas), mode))
+        return original(self, formulas, mode=mode)
+
+    monkeypatch.setattr(Projector, "project", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cap", ["PROJECT_SUBSET_FORMULAS", "PROJECT_BASE_VARS"])
+def test_caps_raise_on_memo_and_cache_hits(monkeypatch, cap):
+    shared_projector.cache_clear()
+    fm, deriv = _pipeline(pyramid_graph(1), XOR2)
+    board = max(replay(deriv).configs, key=len)
+    want = shared_projector(fm.base, XOR2).project_board(board)
+    assert want == project(board, fm.base, XOR2)
+    size = len(board) if cap == "PROJECT_SUBSET_FORMULAS" else len(fm.base.variables())
+    monkeypatch.setenv("RESSPACE_UNSAFE_" + cap, str(size - 1))
+    with pytest.raises(CapExceededError):
+        shared_projector(fm.base, XOR2).project_board(board)
+    with pytest.raises(CapExceededError):
+        project_invariant_audit(deriv, fm.base, XOR2)
+    monkeypatch.delenv("RESSPACE_UNSAFE_" + cap)
+    assert shared_projector(fm.base, XOR2).project_board(board) == want
+
+
+def test_a_call_that_raises_stores_nothing(monkeypatch):
+    shared_projector.cache_clear()
+    fm, deriv = _pipeline(pyramid_graph(1), XOR2)
+    board = max(replay(deriv).configs, key=len)
+    calls = _count_projections(monkeypatch)
+    monkeypatch.setenv("RESSPACE_UNSAFE_PROJECT_SUBSET_FORMULAS", str(len(board) - 1))
+    with pytest.raises(CapExceededError):
+        shared_projector(fm.base, XOR2).project_board(board)
+    monkeypatch.delenv("RESSPACE_UNSAFE_PROJECT_SUBSET_FORMULAS")
+    shared_projector(fm.base, XOR2).project_board(board)
+    shared_projector(fm.base, XOR2).project_board(board)
+    assert len(calls) == 1
+
+
+def test_the_cache_keeps_one_pair(monkeypatch):
+    shared_projector.cache_clear()
+    calls = _count_projections(monkeypatch)
+    base2, base3 = (pebbling_formula(path_graph(n), XOR2).base for n in (2, 3))
+    board = [KDnfFormula.from_clause(Clause([1, 2]))]
+    first = shared_projector(base2, XOR2)
+    assert shared_projector(pebbling_formula(path_graph(2), XOR2).base, XOR2) is first
+    first.project_board(board)
+    shared_projector(base3, XOR2).project_board(board)
+    assert shared_projector(base2, XOR2) is not first
+    shared_projector(base2, XOR2).project_board(board)
+    assert len(calls) == 3
+
+
+def test_extract_then_audit_projects_each_board_once(monkeypatch):
+    g = pyramid_graph(2)
+    fm, deriv = _pipeline(g, XOR2)
+    shared_projector.cache_clear()
+    calls = _count_projections(monkeypatch)
+    extract_pebbling(deriv, g, XOR2, require_space_bound=True)
+    project_invariant_audit(deriv, fm.base, XOR2)
+    assert len(calls) == len({cfg for cfg in replay(deriv).configs if cfg})
+
+
+@pytest.mark.parametrize(
+    "graph, f, k",
+    [
+        (pyramid_graph(2), XOR2, 1),
+        (path_graph(6), xor_function(3), 1),
+        (pyramid_graph(2), XOR2, "d"),
+    ],
+    ids=["pyramid:2/xor:2", "path:6/xor:3", "pyramid:2/xor:2/k=d"],
+)
+def test_memoised_projections_are_exact(graph, f, k):
+    fm = pebbling_formula(graph, f)
+    compile_fn = compile_pebbling if k == 1 else compile_pebbling_rk
+    deriv = compile_fn(graph, trivial_black_pebbling(graph), f)
+
+    def through_the_cache():
+        translated = None
+        if deriv.k == 1:
+            translated = translate_refutation(deriv, fm.base, f).projected
+        return translated, project_invariant_audit(deriv, fm.base, f)
+
+    shared_projector.cache_clear()
+    cold = through_the_cache()
+    assert through_the_cache() == cold  # every board a memo hit
+    projector = shared_projector(fm.base, f)
+    modes = ("subset", "whole_set") if deriv.k == 1 else ("whole_set",)
+    for cfg in replay(deriv).configs:
+        for mode in modes:
+            projector.project_board(cfg, mode=mode)
+    memo = dict(projector._memo)
+    assert {mode for _, mode in memo} == set(modes)
+    fresh = Projector(fm.base, f)
+    for (lines, mode), got in memo.items():
+        assert got == fresh.project(lines, mode=mode)
+    if deriv.k > 1:
+        # subset mode rejects wide terms and stores nothing
+        wide = next(
+            lines for lines, _ in memo if any(l.max_term_width() > 1 for l in lines)
+        )
+        with pytest.raises(InvalidParamError):
+            projector.project_board(wide, mode="subset")
+        assert projector._memo == memo
+    shared_projector.cache_clear()
+    assert through_the_cache() == cold
+
+
+def test_translate_rejects_kdnf_refutations():
+    g = path_graph(3)
+    f = xor_function(2)
+    deriv = compile_pebbling_rk(g, trivial_black_pebbling(g), f)
+    with pytest.raises(InvalidParamError, match=r"resolution \(k=1\) refutations only"):
+        translate_refutation(deriv, pebbling_formula(g, f).base, f)
+    with pytest.raises(InvalidParamError, match=r"resolution \(k=1\) refutations only"):
+        extract_pebbling(deriv, g, f)
