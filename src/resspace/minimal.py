@@ -21,7 +21,6 @@ from .errors import CapExceededError, InvalidParamError, NotMinimalError
 from .logic import (
     EMPTY_DNF,
     Clause,
-    CnfFormula,
     KDnfFormula,
     Restriction,
     Term,
@@ -63,19 +62,6 @@ def is_minimally_unsatisfiable(formulas) -> bool:
     """Minimal implication of the empty DNF: unsatisfiable, and shrinking
     any single term restores satisfiability."""
     return minimally_implies(formulas, EMPTY_DNF)
-
-
-def is_minimally_unsatisfiable_cnf(formula: CnfFormula) -> bool:
-    """Clause-deletion minimality: unsatisfiable, every proper subset
-    satisfiable."""
-    clauses = list(formula)
-    if not implies(clauses, [EMPTY_DNF]):
-        return False
-    for i in range(len(clauses)):
-        rest = clauses[:i] + clauses[i + 1 :]
-        if implies(rest, [EMPTY_DNF]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,15 @@ some image falsifies C without it.  Each test is a lookup among at most
 Subset mode avoids enumerating subsets: a witness subset S exists if and
 only if one can pick, for every literal l of C, a satisfied-member set at
 a base point falsifying C without l such that the members common to all
-picks still imply C.  A pick from a point falsifying C can never witness,
-so the picks for l come from points where l holds and the rest of C fails.
-Only maximal picks matter, so the search multiplies small antichains, and
-it stops extending a partial choice as soon as a point falsifying C has a
-satisfied-member set containing the members common so far.
+picks lie inside no satisfied-member set of a point falsifying C (a
+blocker).  The picks for l come from points where l holds and the rest of
+C fails, and only maximal picks matter: the maximal sets of the points
+agreeing with a pattern on C's variables are merged down from the points'
+own.  The search keeps, literal by literal, the distinct maximal
+intersections of the picks so far that lie inside no blocker, and projects
+C when one survives the last literal.  This is exact: a set inside a
+blocker stays inside as later picks cut it down, and a subset of a kept
+set can do no better than that set.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .errors import (
     InvalidInputError,
     InvalidParamError,
 )
-from .logic import Clause, CnfFormula, KDnfFormula, _as_rows
+from .logic import Clause, CnfFormula, KDnfFormula, _row
 from .pebbling import Move, validate_pebbling
 from .proofs import Derivation, DerivationBuilder, replay
 from .transforms import eliminate_weakening, make_frugal
@@ -76,6 +80,7 @@ class Projector:
         self.base_vars = sorted(base_formula.variables())
         self._table = np.asarray(f.table, dtype=np.int64)
         self._memo = {}  # (board, mode) -> projected clauses
+        self._images = {}  # shadow size -> f-image of every assignment
 
     def _check_caps(self, n_formulas, mode):
         """The caps on the base variables and on the formulas of one
@@ -104,73 +109,81 @@ class Projector:
         bit = {v: i for i, v in enumerate(sub_vars)}
         return bit, 1 << len(sub_vars)
 
-    @staticmethod
-    def _maximal(values):
-        """Maximal elements of an iterable of bitmask ints."""
-        vals = sorted(set(values), key=int.bit_count, reverse=True)
-        out = []
-        for s in vals:
-            if not any(s & keep == s for keep in out):
-                out.append(s)
-        return out
-
     def project(self, formulas, mode="subset"):
         """The set of projected clauses of a configuration.
 
         ``formulas``: clauses or k-DNF lines.  Subset mode reads 1-DNF lines
         as clauses, whole-set mode reads clauses as 1-DNF lines.
         """
-        members = []
+        subset = mode == "subset"
+        # the distinct members, read from the lines' literal tuples: a
+        # clause's literal set in subset mode, a DNF's term set and k in
+        # whole-set mode, equal exactly when the KDnfFormula lines are
+        members = set()
         for formula in formulas:
-            if isinstance(formula, KDnfFormula) and mode == "subset":
-                width = formula.max_term_width()
-                if width > 1:
-                    raise InvalidParamError(
-                        f"subset mode projects clauses, but a line has a term of "
-                        f"width {width}; project k-DNF lines with --mode whole_set"
-                    )
-                formula = formula.as_clause()
-            elif isinstance(formula, Clause) and mode != "subset":
-                formula = KDnfFormula.from_clause(formula)
-            elif not isinstance(formula, (Clause, KDnfFormula)):
+            if isinstance(formula, Clause):
+                terms, k = [(l,) for l in formula.lits], 1
+            elif isinstance(formula, KDnfFormula):
+                terms, k = [t.lits for t in formula.terms], formula.k
+            else:
                 raise InvalidInputError(f"cannot project {type(formula).__name__}")
-            members.append(formula)
-        members = sorted(set(members))
+            if not subset:
+                members.add((frozenset(terms), k))
+                continue
+            width = max(map(len, terms), default=0)
+            if width > 1:
+                raise InvalidParamError(
+                    f"subset mode projects clauses, but a line has a term of "
+                    f"width {width}; project k-DNF lines with --mode whole_set"
+                )
+            # an empty term, which no clause stands for, fails to unpack
+            members.add(frozenset(l for (l,) in terms))
         self._check_caps(len(members), mode)
+        rows = [(m,) for m in members] if subset else [terms for terms, _ in members]
 
-        shadow = sorted(
-            self.varmap.shadow(
-                set().union(*(set(m.variables()) for m in members), set())
-            )
-            & set(self.base_vars)
-        )
+        d = self.f.d
+        lits = {l for rs in rows for r in rs for l in r}
+        shadow = sorted({(abs(l) - 1) // d + 1 for l in lits} & set(self.base_vars))
         bit, size = self._space(shadow)
 
-        # the one sweep: f-image and satisfied members of every assignment
+        # the one sweep: f-image and satisfied members of every assignment;
+        # the image depends only on d and the shadow size
         a = np.arange(size, dtype=np.int64)
-        d = self.f.d
-        image = np.zeros(size, dtype=np.int64)
-        for j in range(len(shadow)):
-            image |= self._table[(a >> (d * j)) & ((1 << d) - 1)] << j
-        if mode == "subset":
-            svec = np.zeros(size, dtype=np.int64)
-            for i, m in enumerate(members):
-                svec |= sat_mask(a, *_as_rows(m, bit)).astype(np.int64) << i
+        image = self._images.get(len(shadow))
+        if image is None:
+            image = self._images[len(shadow)] = np.zeros(size, dtype=np.int64)
+            for j in range(len(shadow)):
+                image |= self._table[(a >> (d * j)) & ((1 << d) - 1)] << j
+        kind = "cnf" if subset else "dnf"
+        sat = np.array(
+            [sat_mask(a, kind, [_row(r, bit) for r in rs]) for rs in rows], dtype=bool
+        ).reshape(len(rows), size)
+        if subset:
+            svec = np.bitwise_or.reduce(sat << np.arange(len(rows))[:, None], axis=0)
             full = (1 << len(members)) - 1
             order = np.lexsort((svec, image))
             image, svec = image[order], svec[order]
             fresh = np.ones(size, dtype=bool)
             fresh[1:] = (image[1:] != image[:-1]) | (svec[1:] != svec[:-1])
-            by_point: dict[int, list] = {}
-            for p, sat in zip(image[fresh].tolist(), svec[fresh].tolist()):
-                by_point.setdefault(p, []).append(sat)
-            antichains = {p: self._maximal(sats) for p, sats in by_point.items()}
-            models = [p for p, sats in antichains.items() if sats[0] == full]
+            # chains[V][r]: the maximal satisfied-member sets of the points
+            # agreeing with pattern r on V, in descending order; per point
+            # first, then merged down from V plus one bit
+            top = (1 << len(shadow)) - 1
+            runs: dict[int, list] = {}
+            for p, s in zip(image[fresh][::-1].tolist(), svec[fresh][::-1].tolist()):
+                runs.setdefault(p, []).append(s)
+            chains = [None] * top + [{p: _maximal(run) for p, run in runs.items()}]
+            for V in reversed(range(top)):
+                b = (V + 1) & ~V
+                merged: dict[int, set] = {}
+                for r, chain in chains[V | b].items():
+                    merged.setdefault(r & ~b, set()).update(chain)
+                chains[V] = {
+                    r: _maximal(sorted(m, reverse=True)) for r, m in merged.items()
+                }
+            models = [p for p, chain in chains[top].items() if chain[0] == full]
         else:
-            sat = np.ones(size, dtype=bool)
-            for m in members:
-                sat &= sat_mask(a, *_as_rows(m, bit))
-            models = np.unique(image[sat]).tolist()
+            models = np.unique(image[sat.all(axis=0)]).tolist()
 
         # a clause C over the shadow variables is given by the bits V of
         # its variables and the pattern q of the points falsifying it (bit j
@@ -180,27 +193,20 @@ class Projector:
         for V in range(1 << len(shadow)):
             seen.append({p & V for p in models})
             js = [j for j in range(len(shadow)) if V >> j & 1]
-            if mode == "subset":
-                # satisfied-member sets of the points agreeing with a pattern
-                # on V, made maximal when first picked from
-                groups: dict[int, list] = {}
-                for p, sats in antichains.items():
-                    groups.setdefault(p & V, []).extend(sats)
-                picks_at: dict[int, list] = {}
-            for q in _submasks(V):
-                if q in seen[V]:
-                    continue  # a model of D falsifies C
-                if mode == "subset":
-                    # picks for the literal on shadow[j]: the points where it
-                    # is the only literal of C that holds
-                    rs = [q ^ (1 << j) for j in js]
-                    ok = all(r in groups for r in rs)
-                    if ok:
-                        for r in rs:
-                            if r not in picks_at:
-                                picks_at[r] = self._maximal(groups[r])
-                        picks = [picks_at[r] for r in rs]
-                        ok = _witness(full, picks, groups.get(q, ()))
+            for q in range(V + 1):
+                if q & ~V or q in seen[V]:
+                    continue  # not a pattern on V, or a model of D falsifies C
+                if subset:
+                    # the frontier, literal by literal: the picks for the
+                    # literal on shadow[j] come from the points where it is
+                    # the only literal of C that holds; all members lie
+                    # inside no blocker, since no model of D falsifies C
+                    blockers, frontier = chains[V].get(q, []), [full]
+                    for j in js:
+                        picks = chains[V].get(q ^ (1 << j), [])
+                        cut = {s & c for s in frontier for c in picks}
+                        frontier = _maximal(sorted(cut, reverse=True), blockers)
+                    ok = bool(frontier)
                 else:
                     ok = all(q & ~(1 << j) in seen[V ^ (1 << j)] for j in js)
                 if ok:
@@ -233,25 +239,20 @@ def shared_projector(base_formula: CnfFormula, f: BooleanFunction) -> Projector:
     return Projector(base_formula, f)
 
 
-def _submasks(V):
-    """Every q with q & V == q, from V down to 0."""
-    q = V
-    while True:
-        yield q
-        if not q:
-            return
-        q = (q - 1) & V
+def _maximal(values, above=()):
+    """The values that lie inside no other value and no set of ``above``.
 
-
-def _witness(s, picks, blockers):
-    """Whether the members ``s``, cut down by one set from each antichain in
-    ``picks``, can end up inside no set of ``blockers``.  Cutting down only
-    shrinks a set, so a branch stops once it is inside a blocker."""
-    if any(s & b == s for b in blockers):
-        return False
-    if not picks:
-        return True
-    return any(_witness(s & c, picks[1:], blockers) for c in picks[0])
+    The values are distinct bitmask ints in descending order: a proper
+    superset is a larger int, so a value can lie only inside one kept
+    before it."""
+    keep = list(above)
+    for s in values:
+        for t in keep:
+            if s & t == s:
+                break
+        else:
+            keep.append(s)
+    return keep[len(above) :]
 
 
 def project(formulas, base_formula: CnfFormula, f: BooleanFunction, mode="subset"):

@@ -5,11 +5,13 @@ import pytest
 
 from resspace.errors import CapExceededError, InvalidParamError, NotMinimalError
 from resspace.logic import (
+    EMPTY_DNF,
     Clause,
     CnfFormula,
     KDnfFormula,
     Term,
     all_clauses_over,
+    implies,
     restrict,
 )
 from resspace.minimal import (
@@ -19,11 +21,23 @@ from resspace.minimal import (
     block_substituted_min_unsat,
     enumerate_min_unsat,
     is_minimally_unsatisfiable,
-    is_minimally_unsatisfiable_cnf,
     shrink_witness_restriction,
     minimally_implies,
     scan_min_unsat_cnf,
 )
+
+
+def is_minimally_unsatisfiable_cnf(formula: CnfFormula) -> bool:
+    """Reference clause-deletion minimality: unsatisfiable, every proper
+    subset satisfiable."""
+    clauses = list(formula)
+    if not implies(clauses, [EMPTY_DNF]):
+        return False
+    for i in range(len(clauses)):
+        rest = clauses[:i] + clauses[i + 1 :]
+        if implies(rest, [EMPTY_DNF]):
+            return False
+    return True
 
 
 def clauses_as_set(clauses):

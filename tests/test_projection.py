@@ -1,5 +1,7 @@
+import collections
 import itertools
 
+import numpy as np
 import pytest
 
 from resspace.boolfunc import or_function, xor_function
@@ -785,3 +787,236 @@ def test_translate_rejects_kdnf_refutations():
         translate_refutation(deriv, pebbling_formula(g, f).base, f)
     with pytest.raises(InvalidParamError, match=r"resolution \(k=1\) refutations only"):
         extract_pebbling(deriv, g, f)
+
+
+# --- the search against the one it replaced ----------------------------------
+
+
+class ReferenceProjector(Projector):
+    """The projection search as it was before it ran on frontiers of
+    maximal intersections: members rebuilt as Clause and KDnfFormula
+    objects, each point's sets made maximal by a scan, the points grouped
+    anew for every V, and a recursive witness search.  The caps, the
+    assignment space and the sweep are the library's."""
+
+    def project(self, formulas, mode="subset"):
+        from resspace.accel import sat_mask
+        from resspace.errors import InvalidInputError
+        from resspace.logic import _as_rows
+
+        members = []
+        for formula in formulas:
+            if isinstance(formula, KDnfFormula) and mode == "subset":
+                width = formula.max_term_width()
+                if width > 1:
+                    raise InvalidParamError(
+                        f"subset mode projects clauses, but a line has a term of "
+                        f"width {width}; project k-DNF lines with --mode whole_set"
+                    )
+                formula = formula.as_clause()
+            elif isinstance(formula, Clause) and mode != "subset":
+                formula = KDnfFormula.from_clause(formula)
+            elif not isinstance(formula, (Clause, KDnfFormula)):
+                raise InvalidInputError(f"cannot project {type(formula).__name__}")
+            members.append(formula)
+        members = sorted(set(members))
+        self._check_caps(len(members), mode)
+
+        shadow = sorted(
+            self.varmap.shadow(
+                set().union(*(set(m.variables()) for m in members), set())
+            )
+            & set(self.base_vars)
+        )
+        bit, size = self._space(shadow)
+        a = np.arange(size, dtype=np.int64)
+        d = self.f.d
+        image = np.zeros(size, dtype=np.int64)
+        for j in range(len(shadow)):
+            image |= self._table[(a >> (d * j)) & ((1 << d) - 1)] << j
+        if mode == "subset":
+            svec = np.zeros(size, dtype=np.int64)
+            for i, m in enumerate(members):
+                svec |= sat_mask(a, *_as_rows(m, bit)).astype(np.int64) << i
+            full = (1 << len(members)) - 1
+            by_point: dict[int, list] = {}
+            for p, sat in set(zip(image.tolist(), svec.tolist())):
+                by_point.setdefault(p, []).append(sat)
+            antichains = {p: _reference_maximal(s) for p, s in by_point.items()}
+            models = [p for p, sats in antichains.items() if sats[0] == full]
+        else:
+            sat = np.ones(size, dtype=bool)
+            for m in members:
+                sat &= sat_mask(a, *_as_rows(m, bit))
+            models = np.unique(image[sat]).tolist()
+
+        projected = []
+        seen = []
+        for V in range(1 << len(shadow)):
+            seen.append({p & V for p in models})
+            js = [j for j in range(len(shadow)) if V >> j & 1]
+            if mode == "subset":
+                groups: dict[int, list] = {}
+                for p, sats in antichains.items():
+                    groups.setdefault(p & V, []).extend(sats)
+                picks_at: dict[int, list] = {}
+            for q in _submasks(V):
+                if q in seen[V]:
+                    continue
+                if mode == "subset":
+                    rs = [q ^ (1 << j) for j in js]
+                    ok = all(r in groups for r in rs)
+                    if ok:
+                        for r in rs:
+                            if r not in picks_at:
+                                picks_at[r] = _reference_maximal(groups[r])
+                        picks = [picks_at[r] for r in rs]
+                        ok = _reference_witness(full, picks, groups.get(q, ()))
+                else:
+                    ok = all(q & ~(1 << j) in seen[V ^ (1 << j)] for j in js)
+                if ok:
+                    projected.append(
+                        Clause([-shadow[j] if q >> j & 1 else shadow[j] for j in js])
+                    )
+        return frozenset(projected)
+
+
+def _submasks(V):
+    """Every q with q & V == q, from V down to 0."""
+    q = V
+    while True:
+        yield q
+        if not q:
+            return
+        q = (q - 1) & V
+
+
+def _reference_maximal(values):
+    """Maximal elements of an iterable of bitmask ints, largest sets first."""
+    vals = sorted(set(values), key=int.bit_count, reverse=True)
+    out = []
+    for s in vals:
+        if not any(s & keep == s for keep in out):
+            out.append(s)
+    return out
+
+
+def _reference_witness(s, picks, blockers):
+    """Whether the members ``s``, cut down by one set from each antichain in
+    ``picks``, can end up inside no set of ``blockers``."""
+    if any(s & b == s for b in blockers):
+        return False
+    if not picks:
+        return True
+    return any(_reference_witness(s & c, picks[1:], blockers) for c in picks[0])
+
+
+@pytest.mark.parametrize(
+    "graph, fspec, pebbling, k",
+    [
+        ("pyramid:2", "xor:2", "optimal", 1),
+        ("pyramid:1", "maj:3", "trivial", 1),
+        ("bit_reversal:1", "xor:2", "trivial", 1),
+        ("path:6", "xor:3", "trivial", 1),
+        ("pyramid:2", "xor:2", "trivial", "d"),
+        ("bit_reversal:1", "xor:2", "trivial", "d"),
+    ],
+)
+def test_projection_equals_the_reference_on_every_board(graph, fspec, pebbling, k):
+    """Every distinct board of the benchmark's round-trip refutations:
+    resolution ones in subset mode, k = d ones in whole-set mode."""
+    from resspace.boolfunc import function_by_name
+    from resspace.graphs import make_graph
+    from resspace.pebbling import search_min_space
+
+    family, _, param = graph.partition(":")
+    g = make_graph(family, int(param))
+    name, _, d = fspec.partition(":")
+    f = function_by_name(name, int(d))
+    if pebbling == "optimal":
+        moves = search_min_space(g, "black")[1]
+    else:
+        moves = trivial_black_pebbling(g)
+    compile_fn = compile_pebbling if k == 1 else compile_pebbling_rk
+    base = pebbling_formula(g, f).base
+    mode = "subset" if k == 1 else "whole_set"
+    boards = {cfg for cfg in replay(compile_fn(g, moves, f)).configs if cfg}
+    projector, reference = Projector(base, f), ReferenceProjector(base, f)
+    nonempty = 0
+    for cfg in boards:
+        got = projector.project(cfg, mode=mode)
+        assert got == reference.project(cfg, mode=mode), sorted(cfg)
+        nonempty += bool(got)
+    assert nonempty
+
+
+def _drawn_configuration(draw, f, nbase):
+    """A small mixed configuration over the blocks of nbase original
+    variables: clauses, 1-DNF lines and 2-DNF lines, some of them clauses
+    of a substituted base clause, as a refutation of F[f] downloads."""
+    from hypothesis import strategies as st
+
+    from resspace.boolfunc import substitute_clause
+
+    def signed(v):
+        return st.sampled_from((v, -v))
+
+    literal = st.integers(1, f.d * nbase).flatmap(signed)
+    base_clause = st.lists(st.integers(1, nbase), min_size=1, max_size=2, unique=True)
+    substituted = base_clause.flatmap(lambda vs: st.tuples(*map(signed, vs))).flatmap(
+        lambda c: st.lists(st.sampled_from(substitute_clause(Clause(c), f).clauses))
+    )
+    one_dnf = st.lists(literal, max_size=3).map(
+        lambda ls: KDnfFormula([Term([l]) for l in ls], k=1)
+    )
+    two_dnf = st.lists(st.lists(literal, min_size=1, max_size=2), max_size=3).map(
+        lambda ts: KDnfFormula([Term(t) for t in ts], k=2)
+    )
+    line = st.one_of(st.lists(literal, max_size=3).map(Clause), one_dnf, two_dnf)
+    return draw(st.lists(line, max_size=5)) + draw(substituted)[:8]
+
+
+def test_projection_equals_the_reference_on_drawn_configurations():
+    """Drawn configurations, both modes, with xor:2, maj:3 and the identity,
+    sometimes under a lowered formula cap: the projection and the reference
+    return equal clause sets or raise the same cap or parameter error."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from resspace.boolfunc import identity_function, majority_function
+
+    functions = [XOR2, majority_function(3), identity_function()]
+    seen = collections.Counter()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        f = data.draw(st.sampled_from(functions))
+        nbase = data.draw(st.integers(1, 4))
+        config = _drawn_configuration(data.draw, f, nbase)
+        mode = data.draw(st.sampled_from(("subset", "whole_set")))
+        cap = data.draw(st.none() | st.integers(0, 5))
+        base = CnfFormula([[v] for v in range(1, nbase + 1)])
+
+        def outcome(projector):
+            try:
+                return projector.project(config, mode=mode)
+            except (CapExceededError, InvalidParamError) as e:
+                return type(e)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                which = "SUBSET" if mode == "subset" else "WHOLESET"
+                mp.setenv(f"RESSPACE_UNSAFE_PROJECT_{which}_FORMULAS", str(cap))
+            got = outcome(Projector(base, f))
+            want = outcome(ReferenceProjector(base, f))
+        assert got == want
+        if isinstance(got, type):
+            seen[got.__name__] += 1
+        else:
+            seen["nonempty" if got else "empty"] += 1
+
+    check()
+    # both errors, empty and nonempty projections all occur
+    outcomes = {"CapExceededError", "InvalidParamError", "empty", "nonempty"}
+    assert set(seen) == outcomes and min(seen.values()) >= 20, seen
