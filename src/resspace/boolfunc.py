@@ -16,9 +16,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParamError
-from .logic import Clause, CnfFormula, KDnfFormula, Term
+from .logic import Clause, CnfFormula
 
 ARITY_CAP = 8
+
+
+def _check_arity(d: int):
+    if d < 1 or d > ARITY_CAP:
+        raise InvalidParamError(f"arity {d} out of range 1..{ARITY_CAP}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +35,7 @@ class BooleanFunction:
     table: tuple[bool, ...]
 
     def __init__(self, name, d, table):
-        if d < 1 or d > ARITY_CAP:
-            raise InvalidParamError(f"arity {d} out of range 1..{ARITY_CAP}")
+        _check_arity(d)
         table = tuple(bool(b) for b in table)
         if len(table) != 1 << d:
             raise InvalidParamError("truth table size must be 2^d")
@@ -50,23 +54,31 @@ class BooleanFunction:
         return self.table[sum(1 << i for i, b in enumerate(args) if b)]
 
 
+def _named(name: str, d: int, value) -> BooleanFunction:
+    """The function ``name`` of arity d that takes value(i) on assignment
+    word i.  The arity is checked before the 2^d-entry table is built, so an
+    out-of-range d fails at once instead of exhausting memory."""
+    _check_arity(d)
+    return BooleanFunction(name, d, [value(i) for i in range(1 << d)])
+
+
 def or_function(d: int) -> BooleanFunction:
-    return BooleanFunction("or", d, [i != 0 for i in range(1 << d)])
+    return _named("or", d, lambda i: i != 0)
 
 
 def and_function(d: int) -> BooleanFunction:
-    return BooleanFunction("and", d, [i == (1 << d) - 1 for i in range(1 << d)])
+    return _named("and", d, lambda i: i == (1 << d) - 1)
 
 
 def xor_function(d: int) -> BooleanFunction:
-    return BooleanFunction("xor", d, [i.bit_count() % 2 == 1 for i in range(1 << d)])
+    return _named("xor", d, lambda i: i.bit_count() % 2 == 1)
 
 
 def threshold_function(d: int, k: int) -> BooleanFunction:
     """True when at least k of the d inputs are true."""
     if not 1 <= k <= d:
         raise InvalidParamError(f"threshold {k} out of range 1..{d}")
-    f = BooleanFunction(f"thr{k}", d, [i.bit_count() >= k for i in range(1 << d)])
+    f = _named(f"thr{k}", d, lambda i: i.bit_count() >= k)
     object.__setattr__(f, "_thr_k", k)
     return f
 
@@ -91,12 +103,6 @@ def majority_function(d: int) -> BooleanFunction:
     return threshold_function(d, (d + 1) // 2)
 
 
-def custom_function(table) -> BooleanFunction:
-    table = tuple(table)
-    d = (len(table) - 1).bit_length()
-    return BooleanFunction("custom", d, table)
-
-
 def function_by_name(name: str, d: int | None = None) -> BooleanFunction:
     """Resolve a CLI-style function spec: or/and/xor/maj need d, thr needs d
     written as thr<k>:<d>, identity needs none."""
@@ -113,7 +119,11 @@ def function_by_name(name: str, d: int | None = None) -> BooleanFunction:
     if name == "maj":
         return majority_function(d)
     if name.startswith("thr"):
-        return threshold_function(d, int(name[3:]))
+        try:
+            k = int(name[3:])
+        except ValueError:
+            raise InvalidParamError(f"{name!r} is not of the form thr<k>") from None
+        return threshold_function(d, k)
     raise InvalidParamError(f"unknown function {name!r}")
 
 
@@ -219,20 +229,6 @@ def substitute_formula(formula: CnfFormula, f: BooleanFunction) -> CnfFormula:
     for c in formula:
         out.extend(substitute_clause(c, f).clauses)
     return CnfFormula(out)
-
-
-def minterm_dnf(f: BooleanFunction, var: int, positive: bool = True, k=None) -> KDnfFormula:
-    """The canonical d-DNF for f over the block of ``var``: one full-width
-    term per satisfying assignment."""
-    varmap = SubstitutionVarMap(f.d)
-    block = varmap.block(var)
-    terms = []
-    for bits in range(1 << f.d):
-        if f.value(bits) == positive:
-            terms.append(
-                Term([block[i] if (bits >> i) & 1 else -block[i] for i in range(f.d)])
-            )
-    return KDnfFormula(terms, k=f.d if k is None else k)
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,6 @@ class InvalidInputError(ResspaceError):
     code = "INVALID_INPUT"
 
 
-class FormulaSatisfiedError(ResspaceError):
-    code = "FORMULA_SATISFIED"
-
-
 class CapExceededError(ResspaceError):
     code = "CAP_EXCEEDED"
 
@@ -109,10 +105,6 @@ class WhitePebblePresentError(ResspaceError):
 
 class AuthoritarianFunctionError(ResspaceError):
     code = "AUTHORITARIAN_FUNCTION"
-
-
-class NotMinimalError(ResspaceError):
-    code = "NOT_MINIMAL"
 
 
 class FormatError(ResspaceError):

@@ -25,6 +25,23 @@ def _line_error(n: int, line: str, e: Exception) -> FormatError:
     return FormatError(f"line {n}: {why} in {line!r}")
 
 
+def _read_header(line: str, kind: str, seen: bool, field: str, convert):
+    """(k, value) from a ``p <kind> k=<k> <field>=<value>`` header line:
+    k must be positive, value is converted by ``convert``, and ``seen``
+    says a header came earlier in the file.  Raises ValueError, KeyError or
+    FormatError, which the caller reports with the line number."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != kind:
+        raise FormatError(f"bad {kind} header")
+    if seen:
+        raise FormatError(f"second {kind} header")
+    fields = dict(p.split("=", 1) for p in parts[2:])
+    k, value = int(fields["k"]), convert(fields[field])
+    if k < 1:
+        raise FormatError(f"k={k} is not positive")
+    return k, value
+
+
 # ---------------------------------------------------------------------------
 # DNF / clause text
 
@@ -189,15 +206,7 @@ def derivation_from_text(text: str, formula: CnfFormula):
             continue
         try:
             if line.startswith("p "):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "proof":
-                    raise FormatError("bad proof header")
-                if header is not None:
-                    raise FormatError("second proof header")
-                fields = dict(p.split("=", 1) for p in parts[2:])
-                k, mode = int(fields["k"]), fields["mode"]
-                if k < 1:
-                    raise FormatError(f"k={k} is not positive")
+                k, mode = _read_header(line, "proof", header is not None, "mode", str)
                 if mode not in (SYNTACTIC, SEMANTIC):
                     raise FormatError(f"unknown mode {mode!r}")
                 header = (k, mode)
@@ -314,15 +323,7 @@ def kdnf_set_from_text(text: str):
             continue
         try:
             if line.startswith("p "):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "kdnf":
-                    raise FormatError("bad kdnf header")
-                if k is not None:
-                    raise FormatError("second kdnf header")
-                fields = dict(p.split("=", 1) for p in parts[2:])
-                k, declared = int(fields["k"]), int(fields["m"])
-                if k < 1:
-                    raise FormatError(f"k={k} is not positive")
+                k, declared = _read_header(line, "kdnf", k is not None, "m", int)
                 continue
             if k is None:
                 raise FormatError("formula before kdnf header")

@@ -32,11 +32,6 @@ from .errors import (
 # literals
 
 
-def neg(lit: int) -> int:
-    """Negation of a literal; an involution."""
-    return -lit
-
-
 def canonical_literals(lits) -> tuple[int, ...]:
     """Deduplicate and sort literals into canonical order: sorting by value
     puts -v before v, and the stable sort by variable id keeps that order."""
@@ -421,19 +416,19 @@ def _normalize_side(side):
     return list(side)
 
 
-def implication_counterexample(premises, conclusions, cap=None):
+def implication_counterexample(premises, conclusions):
     """An assignment satisfying all premises and falsifying some conclusion,
     or None if the premises imply every conclusion.
 
     Exhaustive over all assignments to the union of the variables; the cap
-    (default from caps.IMPLIES_VARS) keeps the 2^n enumeration explicit.
+    IMPLIES_VARS (see caps.py) keeps the 2^n enumeration explicit.
     """
     premises = _normalize_side(premises)
     conclusions = _normalize_side(conclusions)
     variables = sorted(
         reduce(lambda a, b: a | b, (_entity_variables(e) for e in premises + conclusions), frozenset())
     )
-    cap = get_cap("IMPLIES_VARS") if cap is None else cap
+    cap = get_cap("IMPLIES_VARS")
     if len(variables) > cap:
         raise TooManyVariablesError(
             f"{len(variables)} variables exceed brute-force cap {cap}"
@@ -450,21 +445,14 @@ def implication_counterexample(premises, conclusions, cap=None):
     return assignment_from_bits(variables, bits)
 
 
-def implies(premises, conclusions, cap=None) -> bool:
+def implies(premises, conclusions) -> bool:
     """True iff every assignment satisfying all premises satisfies every
     conclusion.  implies(A, [EMPTY_DNF]) tests unsatisfiability of A."""
-    return implication_counterexample(premises, conclusions, cap=cap) is None
+    return implication_counterexample(premises, conclusions) is None
 
 
-def is_satisfiable(formulas, cap=None) -> bool:
-    return not implies(formulas, [EMPTY_DNF], cap=cap)
-
-
-def all_assignments(variables):
-    """All assignments over the given variables, in bit order."""
-    vs = sorted(variables)
-    for bits in range(1 << len(vs)):
-        yield assignment_from_bits(vs, bits)
+def is_satisfiable(formulas) -> bool:
+    return not implies(formulas, [EMPTY_DNF])
 
 
 def all_clauses_over(variables, max_width=None):

@@ -1,6 +1,6 @@
 """Minimally unsatisfiable and minimally implying k-DNF sets: checkers, an
-explicit block-substitution construction, exhaustive enumeration at desk
-scale, and near-satisfying witness restrictions.
+explicit block-substitution construction, and exhaustive enumeration at
+desk scale.
 
 A set of k-DNFs minimally implies G when it implies G but replacing any
 single term by any proper subterm (the empty term included) breaks the
@@ -17,16 +17,14 @@ import numpy as np
 
 from . import accel
 from .caps import get_cap
-from .errors import CapExceededError, InvalidParamError, NotMinimalError
+from .errors import CapExceededError, InvalidParamError
 from .logic import (
     EMPTY_DNF,
     Clause,
     KDnfFormula,
-    Restriction,
     Term,
     _as_rows,
     all_clauses_over,
-    implication_counterexample,
     implies,
 )
 
@@ -34,14 +32,6 @@ from .logic import (
 def _with_term_replaced(formula: KDnfFormula, old: Term, new: Term) -> KDnfFormula:
     terms = [t for t in formula.terms if t != old] + [new]
     return KDnfFormula(terms, k=formula.k)
-
-
-def _shrink_witness(formulas, idx, old, new, goal):
-    """An assignment satisfying the set with formulas[idx]'s term ``old``
-    replaced by ``new`` while leaving the implied formula unfixed, or None."""
-    changed = list(formulas)
-    changed[idx] = _with_term_replaced(formulas[idx], old, new)
-    return implication_counterexample(changed, [goal])
 
 
 def minimally_implies(formulas, goal) -> bool:
@@ -53,7 +43,9 @@ def minimally_implies(formulas, goal) -> bool:
     for i, d in enumerate(formulas):
         for t in d.terms:
             for lit in t.lits:
-                if _shrink_witness(formulas, i, t, t.without(lit), goal) is None:
+                shrunk = list(formulas)
+                shrunk[i] = _with_term_replaced(d, t, t.without(lit))
+                if implies(shrunk, [goal]):
                     return False
     return True
 
@@ -99,31 +91,6 @@ def block_substituted_min_unsat(k: int, n: int):
     for i in range(1, n + 1):
         out.append(_negative_block_dnf(blocks[i], k))
     return out
-
-
-def shrink_witness_restriction(formulas, idx: int, term: Term, lit: int, goal=EMPTY_DNF) -> Restriction:
-    """A restriction of size at most k times the set size that satisfies
-    every other formula and the chosen term minus the chosen literal while
-    leaving the implied formula unfixed.
-
-    Built from the shrink witness assignment: keep one satisfied term per
-    other formula plus the shrunken term's literals, drop the rest.
-    """
-    formulas = list(formulas)
-    if term not in formulas[idx] or lit not in term:
-        raise NotMinimalError("term or literal not in the chosen formula")
-    if not minimally_implies(formulas, goal):
-        raise NotMinimalError("the set does not minimally imply the goal")
-    alpha = _shrink_witness(formulas, idx, term, term.without(lit), goal)
-    assert alpha is not None
-    keep = set(term.without(lit).lits)
-    for j, d in enumerate(formulas):
-        if j == idx:
-            continue
-        sat = next(t for t in d.terms if all(alpha.satisfies(l) for l in t.lits))
-        keep.update(sat.lits)
-    keep_vars = {abs(l) for l in keep}
-    return Restriction([l for l in alpha if abs(l) in keep_vars])
 
 
 # ---------------------------------------------------------------------------

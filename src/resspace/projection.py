@@ -255,11 +255,6 @@ def _maximal(values, above=()):
     return keep[len(above) :]
 
 
-def project(formulas, base_formula: CnfFormula, f: BooleanFunction, mode="subset"):
-    """Projected clauses of a single configuration; see Projector.project."""
-    return Projector(base_formula, f).project(formulas, mode=mode)
-
-
 # ---------------------------------------------------------------------------
 # translating refutations of substituted formulas
 

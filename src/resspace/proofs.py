@@ -347,30 +347,24 @@ def _check_inference(rules, config, step, index):
     raise RuleMismatchError(f"step {index}: unknown rule {rule!r}")
 
 
-def _at(index):
-    return "" if index is None else f"step {index}: "
-
-
-def _apply_step(rules: _Rules, config: Configuration, step, index=None) -> ReplayEvent:
-    """Check one step against the board and apply it in place.  ``index``
-    numbers the step in error messages; interactive checking passes None
-    and reports inference errors at step 0."""
+def _apply_step(rules: _Rules, config: Configuration, step, index: int) -> ReplayEvent:
+    """Check step number ``index`` against the board and apply it in place."""
     if isinstance(step, AxiomDownload):
         if step.clause not in rules.formula:
             raise NotAnAxiomError(
-                f"{_at(index)}clause {step.clause.lits} is not an axiom"
+                f"step {index}: clause {step.clause.lits} is not an axiom"
             )
         line = KDnfFormula.from_clause(step.clause, k=rules.k)
         return ReplayEvent("axiom", config.add(line), line)
     if isinstance(step, Inference):
-        ev = _check_inference(rules, config, step, index or 0)
+        ev = _check_inference(rules, config, step, index)
         ev.new_id = config.add(ev.formula)
         return ev
     if isinstance(step, Erasure):
         if step.target not in config.lines:
-            raise BadPremisesError(f"{_at(index)}erasing missing id {step.target}")
+            raise BadPremisesError(f"step {index}: erasing missing id {step.target}")
         return ReplayEvent("erase", step.target, config.pop(step.target))
-    raise RuleMismatchError(f"{_at(index)}unknown step kind")
+    raise RuleMismatchError(f"step {index}: unknown step kind")
 
 
 def replay(deriv: Derivation) -> ReplayLog:
@@ -411,14 +405,6 @@ def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:
     if not log.refuted:
         raise NotARefutationError("the empty DNF never appears")
     return log.measures
-
-
-def check_step(formula, config: Configuration, step, k: int, mode: str):
-    """Apply one step to a configuration in place; returns the new line id
-    (None for erasures).  Exposed for interactive/streaming checking: the
-    rules and the accounting on ``config`` are those of ``replay``."""
-    ev = _apply_step(_Rules(formula, k, mode), config, step)
-    return None if ev.kind == "erase" else ev.new_id
 
 
 # ---------------------------------------------------------------------------

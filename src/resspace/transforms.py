@@ -1,20 +1,16 @@
 """Structural transformations of resolution refutations: weakening
-elimination, restriction, and conversion to frugal form.
+elimination and conversion to frugal form.
 
-All three are measure-dominating: the output never exceeds the input in
+Both are measure-dominating: the output never exceeds the input in
 length, width, clause space, total space, or variable space.  They work on
 k=1 syntactic derivations whose inferences are cuts (resolution steps) and,
-for weakening elimination and restriction, weakenings.
+for weakening elimination, weakenings.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    FormulaSatisfiedError,
-    InvalidInputError,
-    NotARefutationError,
-)
-from .logic import Clause, CnfFormula, KDnfFormula, Restriction, restrict_clause
+from .errors import InvalidInputError, NotARefutationError
+from .logic import Clause, KDnfFormula
 from .proofs import (
     Derivation,
     DerivationBuilder,
@@ -23,8 +19,6 @@ from .proofs import (
     replay,
     zero_formula,
 )
-
-_SAT = "satisfied"
 
 
 def _require_resolution(deriv: Derivation, allow_weakening: bool):
@@ -94,78 +88,6 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
                 adopt(ev.new_id, alias[pos_in])
             else:
                 adopt(ev.new_id, alias[neg_in])
-    return out.build()
-
-
-# ---------------------------------------------------------------------------
-# restriction
-
-
-def residual_formula(formula: CnfFormula, rho: Restriction) -> CnfFormula:
-    """The clause-wise restriction: satisfied clauses drop, surviving
-    clauses lose their falsified literals (a fully falsified clause becomes
-    the empty clause)."""
-    out = []
-    for c in formula:
-        r = restrict_clause(c, rho)
-        if r is True:
-            continue
-        out.append(Clause() if r is False else r)
-    if not out and len(formula):
-        raise FormulaSatisfiedError("the restriction satisfies the formula")
-    return CnfFormula(out, keep_trivial=True)
-
-
-def restrict_refutation(deriv: Derivation, rho: Restriction) -> Derivation:
-    """The refutation under a restriction: lines satisfied by rho disappear,
-    the rest shed their falsified literals.  A cut whose pivot is fixed by
-    rho degenerates into a weakening from the surviving premise."""
-    _require_resolution(deriv, allow_weakening=True)
-    log = replay(deriv)
-    target = residual_formula(deriv.formula, rho)
-    out = DerivationBuilder(target, k=1)
-    status: dict[int, object] = {}
-
-    def line_residual(formula: KDnfFormula):
-        r = restrict_clause(formula.as_clause(), rho)
-        if r is True:
-            return _SAT
-        return Clause() if r is False else r
-
-    for ev in log.events:
-        if ev.kind == "axiom":
-            r = line_residual(ev.formula)
-            status[ev.new_id] = r if r is _SAT else out.download(r)
-        elif ev.kind == "erase":
-            s = status[ev.new_id]
-            if s is not _SAT:
-                out.erase(s)
-        elif ev.rule == "weak":
-            r = line_residual(ev.formula)
-            if r is _SAT:
-                status[ev.new_id] = _SAT
-            else:
-                status[ev.new_id] = out.infer_clause(
-                    "weak", [status[ev.premises[0]]], r
-                )
-        else:  # cut
-            r = line_residual(ev.formula)
-            if r is _SAT:
-                status[ev.new_id] = _SAT
-                continue
-            if ev.pivot is None:
-                raise InvalidInputError("cut without a unit pivot term")
-            x = ev.pivot
-            pos_in = ev.pos_premise
-            neg_in = ev.premises[1] if ev.premises[0] == pos_in else ev.premises[0]
-            if rho.satisfies(x):
-                status[ev.new_id] = out.infer_clause("weak", [status[neg_in]], r)
-            elif rho.falsifies(x):
-                status[ev.new_id] = out.infer_clause("weak", [status[pos_in]], r)
-            else:
-                status[ev.new_id] = out.infer_clause(
-                    "cut", [status[pos_in], status[neg_in]], r
-                )
     return out.build()
 
 

@@ -18,7 +18,6 @@ from resspace.logic import (
     KDnfFormula,
     Term,
     _as_rows,
-    all_assignments,
     all_clauses_over,
     evaluate,
 )
@@ -30,6 +29,7 @@ from resspace.minimal import (
     _var_mask,
     is_minimally_unsatisfiable,
 )
+from reference import all_assignments
 
 
 def _random_entities(rng, nv):

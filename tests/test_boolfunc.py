@@ -8,12 +8,10 @@ from resspace.boolfunc import (
     and_function,
     canonical_clauses,
     clause_set_disjunction,
-    custom_function,
     identity_function,
     is_k_non_authoritarian,
     literal_substitution,
     majority_function,
-    minterm_dnf,
     or_function,
     substitute_clause,
     substitute_formula,
@@ -32,6 +30,7 @@ from resspace.logic import (
     is_satisfiable,
     restrict,
 )
+from reference import custom_function, minterm_dnf
 
 
 def test_constant_functions_rejected():

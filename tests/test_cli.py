@@ -378,6 +378,28 @@ def test_malformed_spec_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("thrx:3", "'thrx' is not of the form thr<k>"),
+        ("thr:3", "'thr' is not of the form thr<k>"),
+        ("xor:-1", "arity -1 out of range 1..8"),
+        ("xor:0", "arity 0 out of range 1..8"),
+        ("xor:99", "arity 99 out of range 1..8"),
+        ("or:30", "arity 30 out of range 1..8"),
+        ("maj:99", "arity 99 out of range 1..8"),
+        ("maj:2", "majority needs odd arity"),
+        ("thr0:3", "threshold 0 out of range 1..3"),
+    ],
+)
+def test_bad_function_spec_is_a_usage_error(spec, message, capsys):
+    # the arity is checked before the 2^d truth table is built
+    assert run(["pipeline", "--graph", "path:2", "--f", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error [INVALID_PARAM]: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--k", "0"],

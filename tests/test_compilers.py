@@ -6,10 +6,8 @@ import pytest
 from resspace.boolfunc import (
     and_function,
     canonical_clauses,
-    custom_function,
     identity_function,
     majority_function,
-    minterm_dnf,
     or_function,
     threshold_function,
     xor_function,
@@ -27,6 +25,7 @@ from resspace.graphs import make_graph, path_graph, pyramid_graph
 from resspace.logic import EMPTY_DNF, CnfFormula, KDnfFormula, Term, implies
 from resspace.pebbling import Move, trivial_black_pebbling
 from resspace.proofs import Inference, check_refutation, replay
+from reference import custom_function, minterm_dnf
 
 
 def test_pebbling_formula_pyramid1():

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resspace.errors import FormatError, InvalidParamError
 from resspace.formats import (
+    RULE_NAMES,
     clause_from_text,
     clause_to_text,
     cnf_from_dimacs,
     cnf_to_dimacs,
     derivation_from_text,
+    derivation_to_text,
     dnf_from_text,
     dnf_to_text,
     graph_from_text,
@@ -18,9 +22,10 @@ from resspace.formats import (
     pebbling_to_text,
     substitution_comment,
 )
-from resspace.graphs import path_graph, pyramid_graph, validate_dag
+from resspace.graphs import make_graph, path_graph, pyramid_graph, validate_dag
 from resspace.logic import Clause, CnfFormula, KDnfFormula, Term
-from resspace.pebbling import Move
+from resspace.pebbling import MOVE_KINDS, Move
+from resspace.proofs import SEMANTIC, SYNTACTIC, AxiomDownload, Derivation, Erasure, Inference
 
 
 def test_dnf_text_round_trip():
@@ -183,3 +188,98 @@ def test_graph_file_is_validated():
         graph_from_text("e 1 1\n")
     with pytest.raises(CycleError, match="cycle"):
         graph_from_text("e 1 2\ne 2 3\ne 3 2\ne 3 4\n")
+
+
+# --- round trips of every documented format on drawn values -----------------
+
+ROUND_TRIP = settings(deadline=None, derandomize=True, database=None)
+LITERALS = st.integers(1, 9).flatmap(lambda v: st.sampled_from((v, -v)))
+IDS = st.integers(min_value=0)
+
+
+def clauses():
+    return st.lists(LITERALS, max_size=5).map(Clause)
+
+
+@st.composite
+def kdnfs(draw, k):
+    """k-DNFs whose terms are non-empty (an empty term has no text form)."""
+    terms = draw(st.lists(st.lists(LITERALS, min_size=1, max_size=k), max_size=4))
+    return KDnfFormula(terms, k=k)
+
+
+@ROUND_TRIP
+@given(
+    st.lists(clauses(), max_size=6),
+    st.booleans(),
+    st.integers(0, 3),
+    st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1),
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+)
+def test_dimacs_round_trips_with_its_substitution_comment(
+    cs, keep_trivial, extra_vars, name, d, base_vars
+):
+    formula = CnfFormula(cs, keep_trivial=keep_trivial)
+    nvars = max(formula.variables(), default=0) + extra_vars
+    comments = [substitution_comment(name, d, base_vars)]
+    back, back_nvars, back_comments = cnf_from_dimacs(
+        cnf_to_dimacs(formula, comments=comments, nvars=nvars)
+    )
+    assert (back, back_nvars, back_comments) == (formula, nvars, comments)
+    assert parse_substitution_comment(back_comments) == (name, d, base_vars)
+
+
+@st.composite
+def derivations(draw):
+    k = draw(st.integers(1, 3))
+    step = st.one_of(
+        clauses().map(AxiomDownload),
+        st.builds(
+            Inference,
+            kdnfs(k),
+            st.sampled_from(RULE_NAMES),
+            st.lists(IDS, max_size=3).map(tuple),
+        ),
+        IDS.map(Erasure),
+    )
+    formula = CnfFormula(draw(st.lists(clauses(), max_size=3)))
+    steps = tuple(draw(st.lists(step, max_size=8)))
+    return Derivation(formula, k, draw(st.sampled_from((SYNTACTIC, SEMANTIC))), steps)
+
+
+@ROUND_TRIP
+@given(derivations())
+def test_proof_trace_round_trips(deriv):
+    assert derivation_from_text(derivation_to_text(deriv), deriv.formula) == deriv
+
+
+@ROUND_TRIP
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.lists(kdnfs(k), max_size=5))))
+def test_kdnf_set_round_trips(drawn):
+    k, formulas = drawn
+    assert kdnf_set_from_text(kdnf_set_to_text(formulas, k=k)) == (formulas, k)
+
+
+@ROUND_TRIP
+@given(st.lists(st.builds(Move, st.sampled_from(MOVE_KINDS), st.integers(min_value=1)), max_size=8))
+def test_pebbling_trace_round_trips(moves):
+    assert pebbling_from_text(pebbling_to_text(moves)) == tuple(moves)
+
+
+@ROUND_TRIP
+@given(
+    st.one_of(
+        st.tuples(st.just("path"), st.integers(1, 12)),
+        st.tuples(st.just("pyramid"), st.integers(1, 6)),
+        st.tuples(st.just("binary_tree"), st.integers(1, 4)),
+        st.tuples(st.just("bit_reversal"), st.integers(1, 4)),
+    )
+)
+@example(("path", 1))
+def test_graph_round_trips(spec):
+    g = make_graph(*spec)
+    back = graph_from_text(graph_to_text(g))
+    # the format carries the vertex count and the edges, not the family
+    # name or its indegree bound
+    assert (back.n, back.edges) == (g.n, g.edges)

@@ -18,7 +18,6 @@ from resspace.logic import (
     KDnfFormula,
     Restriction,
     Term,
-    all_assignments,
     all_clauses_over,
     canonical_literals,
     evaluate,
@@ -27,6 +26,7 @@ from resspace.logic import (
     negating_restriction,
     restrict,
 )
+from reference import all_assignments
 
 
 def test_negation_involution():
@@ -209,11 +209,12 @@ def test_implies_eq21_clause_set():
     assert implies(eq21, [target])
 
 
-def test_implies_cap():
+def test_implies_cap(monkeypatch):
     big = [Clause([v]) for v in range(1, 30)]
     with pytest.raises(TooManyVariablesError):
         implies(big, [EMPTY_DNF])
-    assert implies(big, [Clause([1])], cap=30)
+    monkeypatch.setenv("RESSPACE_UNSAFE_IMPLIES_VARS", "30")
+    assert implies(big, [Clause([1])])
 
 
 # --- negating_restriction -----------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from resspace.errors import CapExceededError, InvalidParamError, NotMinimalError
+from resspace.errors import CapExceededError, InvalidParamError
 from resspace.logic import (
     EMPTY_DNF,
     Clause,
@@ -12,7 +12,6 @@ from resspace.logic import (
     Term,
     all_clauses_over,
     implies,
-    restrict,
 )
 from resspace.minimal import (
     _canonical_classes,
@@ -21,7 +20,6 @@ from resspace.minimal import (
     block_substituted_min_unsat,
     enumerate_min_unsat,
     is_minimally_unsatisfiable,
-    shrink_witness_restriction,
     minimally_implies,
     scan_min_unsat_cnf,
 )
@@ -127,33 +125,6 @@ def test_block_construction_k1_reduces_to_clause_set():
         KDnfFormula.from_clause(Clause([-1])),
         KDnfFormula.from_clause(Clause([-2])),
     ]
-
-
-def test_shrink_witness_restriction_unit_pair():
-    s = clauses_as_set([[1], [-1]])
-    rho = shrink_witness_restriction(s, 1, Term([-1]), -1)
-    assert len(rho) <= 1 * len(s)
-    # satisfies the other formula and the shrunken (empty) term
-    assert restrict(s[0], rho) is True
-    # the goal (empty DNF) stays unfixed-or-false
-    assert restrict(KDnfFormula((), k=1), rho) is not True
-
-
-def test_shrink_witness_restriction_block_instance():
-    s = block_substituted_min_unsat(2, 1)
-    d = s[1]
-    t = d.terms[0]
-    rho = shrink_witness_restriction(s, 1, t, t.lits[0])
-    assert len(rho) <= 2 * len(s)
-    for other in s[:1]:
-        assert restrict(other, rho) is True
-    assert restrict(t.without(t.lits[0]), rho) is True
-
-
-def test_shrink_witness_restriction_rejects_non_minimal():
-    s = clauses_as_set([[1], [-1], [2]])
-    with pytest.raises(NotMinimalError):
-        shrink_witness_restriction(s, 2, Term([2]), 2)
 
 
 def test_minimally_implies_general_goal():

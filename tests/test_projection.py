@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from resspace.boolfunc import or_function, xor_function
+from resspace.boolfunc import BooleanFunction, or_function, xor_function
 from resspace.compilers import compile_pebbling, compile_pebbling_rk, pebbling_formula
 from resspace.errors import (
     AuthoritarianFunctionError,
@@ -18,13 +18,13 @@ from resspace.pebbling import trivial_black_pebbling, validate_pebbling
 from resspace.projection import (
     Projector,
     extract_pebbling,
-    project,
     project_invariant_audit,
     shared_projector,
     translate_refutation,
 )
 from resspace.proofs import check_refutation, replay
 from resspace.transforms import eliminate_weakening, is_frugal, make_frugal
+from reference import minterm_dnf
 
 XOR2 = xor_function(2)
 EQ21 = [
@@ -34,6 +34,11 @@ EQ21 = [
     Clause([-1, -2, -3, 4]),
 ]
 BASE_XY = CnfFormula([[1, -2]])
+
+
+def project(formulas, base_formula: CnfFormula, f: BooleanFunction, mode="subset"):
+    """Projected clauses of a single configuration; see Projector.project."""
+    return Projector(base_formula, f).project(formulas, mode=mode)
 
 
 def test_project_eq21_gives_back_the_clause():
@@ -101,8 +106,6 @@ def test_subset_projection_matches_definitional_enumeration():
 
 
 def _definitional_projected(config, clause, f):
-    from resspace.boolfunc import minterm_dnf
-
     def target_formulas(c):
         return [
             minterm_dnf(f, abs(l), positive=l > 0).with_k(f.d) for l in c.lits
@@ -392,7 +395,6 @@ def test_whole_set_projection_matches_definition():
     import itertools
     import random
 
-    from resspace.boolfunc import minterm_dnf
     from resspace.logic import KDnfFormula as KD, implies
 
     f = XOR2

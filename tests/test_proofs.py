@@ -27,7 +27,6 @@ from resspace.proofs import (
     Inference,
     MeasureReport,
     check_refutation,
-    check_step,
     derive_implied_clause,
     match_ande,
     match_andi,
@@ -89,21 +88,6 @@ def test_kcut_needs_all_negated_literals():
     )
     with pytest.raises(RuleMismatchError):
         replay(deriv)
-
-
-def test_check_step_interactive():
-    from resspace.proofs import Configuration, check_step
-
-    f = CnfFormula([[1], [-1]])
-    config = Configuration()
-    a = check_step(f, config, AxiomDownload(Clause([1])), 1, "syntactic")
-    b = check_step(f, config, AxiomDownload(Clause([-1])), 1, "syntactic")
-    c = check_step(f, config, Inference(zero_formula(1), "cut", (a, b)), 1, "syntactic")
-    assert config.lines[c] == zero_formula(1)
-    check_step(f, config, Erasure(a), 1, "syntactic")
-    assert a not in config.lines
-    with pytest.raises(NotAnAxiomError):
-        check_step(f, config, AxiomDownload(Clause([7])), 1, "syntactic")
 
 
 def test_syntactic_steps_also_semantically_sound():
@@ -495,18 +479,6 @@ def _assert_matches_scratch(deriv):
     assert log.measures == measures
     assert log.first_zero == first_zero
     assert log.configs == configs
-    # the interactive checker applies the same rules and accounting
-    config = Configuration()
-    for a in deriv.assumptions:
-        config.add(a.with_k(deriv.k))
-    for step in deriv.steps:
-        check_step(deriv.formula, config, step, deriv.k, deriv.mode)
-    assert config.values() == configs[-1]
-    assert (config.peak_formulas, config.peak_total, config.peak_variables) == (
-        measures.formula_space,
-        measures.total_space,
-        measures.variable_space,
-    )
     return log
 
 
@@ -636,7 +608,14 @@ def test_measures_match_scratch_on_random_semantic_derivations():
                     *(v.variables() for v in config.values())
                 ):
                     continue
-            check_step(f, config, step, k, "semantic")
+            if isinstance(step, Erasure):
+                config.pop(step.target)
+            else:
+                config.add(
+                    step.formula
+                    if isinstance(step, Inference)
+                    else KDnfFormula.from_clause(step.clause, k=k)
+                )
             steps.append(step)
         _assert_matches_scratch(Derivation(f, k, "semantic", tuple(steps)))
 
@@ -703,15 +682,10 @@ def test_step_error_messages():
         replay(Derivation(f, 1, "syntactic", (AxiomDownload(Clause([1])), AxiomDownload(Clause([7])))))
     with pytest.raises(BadPremisesError, match=r"^step 0: erasing missing id 3$"):
         replay(Derivation(f, 1, "syntactic", (Erasure(3),)))
-    config = Configuration()
-    with pytest.raises(NotAnAxiomError, match=r"^clause \(7,\) is not an axiom$"):
-        check_step(f, config, AxiomDownload(Clause([7])), 1, "syntactic")
-    with pytest.raises(BadPremisesError, match=r"^erasing missing id 3$"):
-        check_step(f, config, Erasure(3), 1, "syntactic")
     with pytest.raises(BadPremisesError, match=r"^step 0: premise 9 not on the board$"):
-        check_step(f, config, Inference(zero_formula(1), "cut", (9, 9)), 1, "syntactic")
-    with pytest.raises(RuleMismatchError, match=r"^unknown step kind$"):
-        check_step(f, config, "step", 1, "syntactic")
+        replay(Derivation(f, 1, "syntactic", (Inference(zero_formula(1), "cut", (9, 9)),)))
+    with pytest.raises(RuleMismatchError, match=r"^step 0: unknown step kind$"):
+        replay(Derivation(f, 1, "syntactic", ("step",)))
 
 
 # --- rule matchers against the formula-building reference ---------------------

@@ -1,0 +1,78 @@
+"""Every public function and class of the library has a caller outside the
+tests, or an entry below saying why it stays.
+
+A name counts as referenced when an identifier of that spelling appears in
+``src/resspace`` or in the benchmark's modules outside the name's own
+definition: a variable or call, an attribute, or a component of a dotted
+string such as the benchmark's tracing targets.  The test is conservative:
+a local variable that shares a public name hides it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "resspace").glob("*.py"))
+BENCHMARK = sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
+)
+
+# public names that nothing outside the tests reaches, each with its reason
+ALLOWLIST = {
+    "is_frugal": "acceptance criterion 12 checks make_frugal's output with it",
+    "derive_dnf_from_cnf": "acceptance criterion 14 builds its k-DNF walk with it",
+    "refute_dnf_pair": "acceptance criterion 14 refutes DNF pairs with it",
+    "is_satisfiable": "acceptance criterion 3 compares satisfiability with it",
+    "evaluate": "the case-table oracle of the kernel tests and criterion 2",
+    "graph_from_text": "reader of the documented graph format",
+    "parse_substitution_comment": "reader of the documented DIMACS substitution comment",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
+
+
+def _referenced(tree) -> set[str]:
+    out = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and _DOTTED.match(node.value)
+            ):
+                names = set(node.value.split("."))
+            else:
+                continue
+            out |= names - {own}
+    return out
+
+
+def _public_definitions() -> dict[str, str]:
+    out = {}
+    for path in LIBRARY:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    out[stmt.name] = path.name
+    return out
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    referenced = set()
+    for path in LIBRARY + BENCHMARK:
+        referenced |= _referenced(ast.parse(path.read_text()))
+    defined = _public_definitions()
+    unreached = {
+        f"{module}:{name}" for name, module in defined.items() if name not in referenced
+    }
+    allowed = {f"{defined.get(name, '?')}:{name}" for name in ALLOWLIST}
+    only_tests = sorted(unreached - allowed)
+    assert not only_tests, f"public names reached only from tests: {only_tests}"
+    stale = sorted(allowed - unreached)
+    assert not stale, f"allowlist entries that are gone or have a caller: {stale}"

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from resspace.errors import FormulaSatisfiedError, InvalidInputError
+from resspace.errors import InvalidInputError
 from resspace.logic import (
     Clause,
     CnfFormula,
-    Restriction,
     all_clauses_over,
     implies,
 )
@@ -24,8 +23,6 @@ from resspace.transforms import (
     eliminate_weakening,
     is_frugal,
     make_frugal,
-    residual_formula,
-    restrict_refutation,
 )
 
 MEASURES = ("length", "formula_space", "total_space", "variable_space")
@@ -153,56 +150,6 @@ def test_eliminate_weakening_random_matrix():
         m_out = check_refutation(out.formula, out)
         assert_dominated(m_out, m_in)
         assert m_out.axiom_downloads <= m_in.axiom_downloads
-
-
-# --- restriction ---------------------------------------------------------
-
-
-def test_restrict_refutation_example():
-    f = CnfFormula([[1, 2], [-1], [-2]])
-    b = DerivationBuilder(f, k=1)
-    a = b.download(Clause([1, 2]))
-    nb = b.download(Clause([-2]))
-    r1 = b.infer_clause("cut", [a, nb], Clause([1]))
-    na = b.download(Clause([-1]))
-    b.infer_clause("cut", [r1, na], Clause())
-    deriv = b.build()
-    out = restrict_refutation(deriv, Restriction([-2]))
-    assert out.formula == CnfFormula([[1], [-1]])
-    m = check_refutation(out.formula, out)
-    m_in = check_refutation(f, deriv)
-    assert_dominated(m, m_in)
-
-
-def test_restrict_empty_restriction_identity():
-    deriv = unit_refutation()
-    out = restrict_refutation(deriv, Restriction([]))
-    assert out.steps == deriv.steps
-    assert out.formula == deriv.formula
-
-
-def test_restrict_satisfying_restriction_rejected():
-    f = CnfFormula([[1, 2]])
-    deriv = Derivation(f, 1, "syntactic", (AxiomDownload(Clause([1, 2])),))
-    with pytest.raises(FormulaSatisfiedError):
-        restrict_refutation(deriv, Restriction([1]))
-
-
-def test_restrict_random_matrix():
-    rng = random.Random(9)
-    for _ in range(30):
-        deriv = build_random_refutation(rng)
-        m_in = check_refutation(deriv.formula, deriv)
-        vs = sorted(deriv.formula.variables())
-        picks = rng.sample(vs, rng.randint(0, len(vs)))
-        rho = Restriction([v * rng.choice((1, -1)) for v in picks])
-        try:
-            out = restrict_refutation(deriv, rho)
-        except FormulaSatisfiedError:
-            continue
-        m_out = check_refutation(out.formula, out)
-        assert_dominated(m_out, m_in)
-        assert out.formula == residual_formula(deriv.formula, rho)
 
 
 # --- frugality ------------------------------------------------------------
