@@ -16,7 +16,7 @@ its 1-based line number.
 from __future__ import annotations
 
 from .errors import FormatError
-from .logic import Clause, CnfFormula, KDnfFormula
+from .logic import Clause, CnfFormula, KDnfFormula, Term
 
 
 def _line_error(n: int, line: str, e: Exception) -> FormatError:
@@ -58,28 +58,43 @@ def dnf_to_text(formula: KDnfFormula) -> str:
 
 
 def dnf_from_text(text: str, k: int) -> KDnfFormula:
+    return _dnf_from_text(text, k, {})
+
+
+def _dnf_from_text(text: str, k: int, term_of: dict) -> KDnfFormula:
+    """dnf_from_text, with ``term_of`` mapping the text of a term to its
+    Term: a file parser passes one dict for the whole file, so each distinct
+    term text is parsed once."""
     text = text.strip()
     if not text:
         raise FormatError("empty DNF string")
     if text == "F":
         return KDnfFormula((), k=k)
-    terms = []
-    for part in text.split("|"):
+    parts = text.split("|")
+    unseen = {}
+    for part in parts:
+        if part in term_of or part in unseen:
+            continue
         lits = []
         for tok in part.split("^"):
             try:
                 lits.append(int(tok))
             except ValueError:
                 raise FormatError(f"bad literal token {tok!r}") from None
-        terms.append(lits)
+        unseen[part] = lits
     try:
-        return KDnfFormula(terms, k=k)
+        # every token is read before any literal is checked, so a bad token
+        # is reported before a bad literal
+        for part, lits in unseen.items():
+            term_of[part] = Term(lits)
+        return KDnfFormula(tuple(map(term_of.__getitem__, parts)), k=k)
     except ValueError as e:  # a literal 0, or a term wider than k
         raise FormatError(str(e)) from None
 
 
 def clause_to_text(clause: Clause) -> str:
-    return dnf_to_text(KDnfFormula.from_clause(clause))
+    # the text of the clause's 1-DNF, whose unit terms sort by their literal
+    return "|".join(map(str, sorted(clause.lits))) or "F"
 
 
 def clause_from_text(text: str) -> Clause:
@@ -200,6 +215,7 @@ def derivation_from_text(text: str, formula: CnfFormula):
 
     header = None
     steps = []
+    term_of = {}
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c "):
@@ -224,7 +240,8 @@ def derivation_from_text(text: str, formula: CnfFormula):
                     raise FormatError("bad inference line")
                 rule = toks[0]
                 premises = tuple(int(t) for t in toks[1:])
-                steps.append(Inference(dnf_from_text(body, k=k), rule, premises))
+                dnf = _dnf_from_text(body, k, term_of)
+                steps.append(Inference(dnf, rule, premises))
             else:
                 raise FormatError("bad trace line")
         except (ValueError, KeyError, FormatError) as e:
@@ -317,6 +334,7 @@ def kdnf_set_to_text(formulas, k: int) -> str:
 def kdnf_set_from_text(text: str):
     k = None
     formulas = []
+    term_of = {}
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -327,7 +345,7 @@ def kdnf_set_from_text(text: str):
                 continue
             if k is None:
                 raise FormatError("formula before kdnf header")
-            formulas.append(dnf_from_text(line, k=k))
+            formulas.append(_dnf_from_text(line, k, term_of))
         except (ValueError, KeyError, FormatError) as e:
             raise _line_error(n, line, e) from None
     if k is None:

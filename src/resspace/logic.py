@@ -8,6 +8,13 @@ literal sets to a fixed order (ascending variable id, negative literal before
 positive at equal id), which makes serialization byte-stable and lets golden
 tests compare objects directly.
 
+Clauses, terms and k-DNFs are hash-consed: each distinct value is one
+object, shared by everything that builds it, and its hash is computed once.
+The public constructors validate their input before they look the value up,
+so a bad literal or a term wider than k raises however many equal values
+exist.  The interning tables hold their values weakly, so a value lives only
+as long as something else keeps it.  Equality and ordering stay value-based.
+
 The restriction semantics follow the usual case tables: a term is satisfied
 when all its literals are, falsified when one is falsified, otherwise the
 unfixed residual remains; clauses and CNF/DNF formulas dually.  ``restrict``
@@ -17,6 +24,7 @@ returns ``True``, ``False`` or a residual of the same kind as its input.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import attrgetter
@@ -41,31 +49,67 @@ def canonical_literals(lits) -> tuple[int, ...]:
     return tuple(sorted(sorted(set(lits)), key=abs))
 
 
-def _check_lits(lits):
+def _check_lits(lits) -> tuple[int, ...]:
+    """The literals as a tuple of plain ints.  The first one that is not a
+    nonzero int raises ValueError; an int subclass such as bool becomes its
+    int value, so an interned value prints the same whoever built it first."""
+    lits = tuple(lits)
+    plain = True
     for lit in lits:
-        if not isinstance(lit, int) or lit == 0:
+        if type(lit) is not int:
+            if not isinstance(lit, int):
+                raise ValueError(f"bad literal {lit!r}")
+            plain = False
+        if lit == 0:
             raise ValueError(f"bad literal {lit!r}")
+    return lits if plain else tuple(map(int, lits))
 
 
 # ---------------------------------------------------------------------------
 # clauses and terms
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class _Literals:
     """A canonical literal tuple: the shared body of clauses and terms.
 
     Clauses and terms are plain subclasses, so dataclass equality and order
     still compare only within one class: a clause never equals a term with
     the same literals, and ordering a clause against a term raises TypeError.
+    Each subclass interns its values in its own table.
     """
 
+    __slots__ = ("lits", "_hash", "_trivial", "__weakref__")
     lits: tuple[int, ...]
 
-    def __init__(self, lits=()):
-        lits = tuple(lits)
-        _check_lits(lits)
-        object.__setattr__(self, "lits", canonical_literals(lits))
+    def __new__(cls, lits=()):
+        return cls._interned(canonical_literals(_check_lits(lits)))
+
+    @classmethod
+    def _interned(cls, lits: tuple[int, ...]):
+        """The one object with these canonical, checked literals."""
+        # the table's own dict of weak references: reading it directly
+        # saves WeakValueDictionary.get's Python frame on every lookup
+        ref = cls._table.data.get(lits)
+        obj = None if ref is None else ref()
+        if obj is None:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "lits", lits)
+            object.__setattr__(obj, "_hash", hash((lits,)))
+            # the literals are distinct, so a shared variable is a
+            # complementary pair
+            trivial = len(lits) > 1 and len(set(map(abs, lits))) < len(lits)
+            object.__setattr__(obj, "_trivial", trivial)
+            cls._table[lits] = obj
+        return obj
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # returns the interned object
+        return type(self), (self.lits,)
 
     @property
     def width(self) -> int:
@@ -75,15 +119,13 @@ class _Literals:
         return frozenset(abs(l) for l in self.lits)
 
     def is_trivial(self) -> bool:
-        # the literals are distinct, so a shared variable is a complementary pair
-        lits = self.lits
-        return len(lits) > 1 and len(set(map(abs, lits))) < len(lits)
+        return self._trivial
 
     def union(self, other):
-        return type(self)(self.lits + other.lits)
+        return self._interned(canonical_literals(self.lits + other.lits))
 
     def without(self, lit: int):
-        return type(self)(l for l in self.lits if l != lit)
+        return self._interned(tuple(l for l in self.lits if l != lit))
 
     def __contains__(self, lit: int) -> bool:
         return lit in self.lits
@@ -98,12 +140,18 @@ class _Literals:
 class Clause(_Literals):
     """A disjunction of literals, stored as a canonical literal tuple."""
 
+    __slots__ = ()
+    _table = weakref.WeakValueDictionary()
+
 
 EMPTY_CLAUSE = Clause()
 
 
 class Term(_Literals):
     """A conjunction of literals; the empty term is satisfied by everything."""
+
+    __slots__ = ()
+    _table = weakref.WeakValueDictionary()
 
     def is_subterm_of(self, other: "Term") -> bool:
         return set(self.lits) <= set(other.lits)
@@ -158,36 +206,67 @@ class CnfFormula:
         return len(self.clauses)
 
 
-@dataclass(frozen=True, order=True)
+def _check_width(terms, k: int) -> None:
+    for t in terms:
+        if len(t.lits) > k:
+            raise ValueError(f"term {t.lits} wider than k={k}")
+
+
+@dataclass(frozen=True, order=True, init=False)
 class KDnfFormula:
     """A k-DNF: a set of terms, each with at most k literals.
 
     The empty DNF (no terms) is the unsatisfiable formula 0.  Trivial terms
     are dropped on construction; they never change the formula's value.
+    Values are interned by (terms, k).
     """
 
+    __slots__ = ("terms", "k", "_hash", "__weakref__")
     terms: tuple[Term, ...]
     k: int
 
-    def __init__(self, terms=(), k=1):
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, terms=(), k=1):
         ts = []
         for t in terms:
             if not isinstance(t, Term):
                 t = Term(t)
-            if not t.is_trivial():
+            if not t._trivial:
                 ts.append(t)
         # lits is a term's only field, so this is the dataclass order
         ts = tuple(sorted(set(ts), key=_term_lits))
-        for t in ts:
-            if len(t.lits) > k:
-                raise ValueError(f"term {t.lits} wider than k={k}")
-        object.__setattr__(self, "terms", ts)
-        object.__setattr__(self, "k", k)
+        _check_width(ts, k)
+        return cls._interned(ts, k)
+
+    @classmethod
+    def _interned(cls, terms: tuple[Term, ...], k: int) -> "KDnfFormula":
+        """The one formula with these canonical terms, each at most k wide."""
+        key = (terms, k)
+        ref = cls._table.data.get(key)
+        obj = None if ref is None else ref()
+        if obj is None:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "terms", terms)
+            object.__setattr__(obj, "k", k)
+            object.__setattr__(obj, "_hash", hash(key))
+            cls._table[key] = obj
+        return obj
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return KDnfFormula, (self.terms, self.k)
 
     @classmethod
     def from_clause(cls, clause: Clause, k: int = 1) -> "KDnfFormula":
         """View a clause as a 1-DNF of singleton terms (any k >= 1)."""
-        return cls([Term([l]) for l in clause.lits], k=k)
+        # a clause's literals are checked and distinct, and unit terms sort
+        # by their literal
+        terms = tuple(Term._interned((l,)) for l in sorted(clause.lits))
+        _check_width(terms, k)
+        return cls._interned(terms, k)
 
     def is_empty(self) -> bool:
         return not self.terms
@@ -205,10 +284,11 @@ class KDnfFormula:
         """The clause this 1-DNF denotes; only valid for singleton terms."""
         if any(len(t) != 1 for t in self.terms):
             raise ValueError("formula has non-unit terms")
-        return Clause(t.lits[0] for t in self.terms)
+        return Clause._interned(canonical_literals(t.lits[0] for t in self.terms))
 
     def with_k(self, k: int) -> "KDnfFormula":
-        return KDnfFormula(self.terms, k=k)
+        _check_width(self.terms, k)
+        return KDnfFormula._interned(self.terms, k)
 
     def __contains__(self, term: Term) -> bool:
         return term in self.terms
@@ -234,9 +314,7 @@ class Restriction:
     lits: tuple[int, ...]
 
     def __init__(self, lits=()):
-        lits = tuple(lits)
-        _check_lits(lits)
-        canon = canonical_literals(lits)
+        canon = canonical_literals(_check_lits(lits))
         seen = set()
         for l in canon:
             if abs(l) in seen:

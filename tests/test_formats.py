@@ -50,6 +50,22 @@ def test_clause_text():
     assert clause_from_text("-1|2") == c
 
 
+def test_a_file_parses_each_term_text_once_and_keeps_its_errors():
+    # tokens are read before literals are checked, as before
+    with pytest.raises(FormatError, match="^bad literal token 'x'$"):
+        dnf_from_text("0|x", k=1)
+    text = PROOF_HEAD + "a 1\na -1\ni weak 1 : 1|2^3\ni weak 1 : 2^3|1\n"
+    k2 = text.replace("k=1", "k=2")
+    deriv = _proof_from_text(k2)
+    assert deriv.steps[2].formula is deriv.steps[3].formula
+    with pytest.raises(FormatError, match=r"^line 6: bad literal 0 in 'i weak 1 : 2\^3\|0'$"):
+        _proof_from_text(k2 + "i weak 1 : 2^3|0\n")
+    with pytest.raises(FormatError, match=r"^line 4: term \(2, 3\) wider than k=1 in "):
+        _proof_from_text(text)
+    with pytest.raises(FormatError, match=r"^line 3: term \(1, 2\) wider than k=1 in "):
+        kdnf_set_from_text("p kdnf k=1 m=2\n1|2\n1^2\n")
+
+
 def test_dnf_text_rejects_bad_tokens():
     with pytest.raises(FormatError, match="^bad literal token 'x'$"):
         dnf_from_text("1^x", k=2)
@@ -246,6 +262,12 @@ def derivations(draw):
     formula = CnfFormula(draw(st.lists(clauses(), max_size=3)))
     steps = tuple(draw(st.lists(step, max_size=8)))
     return Derivation(formula, k, draw(st.sampled_from((SYNTACTIC, SEMANTIC))), steps)
+
+
+@ROUND_TRIP
+@given(clauses())
+def test_clause_text_is_the_text_of_its_1dnf(clause):
+    assert clause_to_text(clause) == dnf_to_text(KDnfFormula.from_clause(clause))
 
 
 @ROUND_TRIP

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -379,3 +380,124 @@ def test_accel_paths_agree():
         assert got == want
         found += want is not None
     assert 0 < found < 60
+
+
+# --- interning: one object per distinct value ---------------------------------
+
+
+def _intern_counts():
+    return tuple(len(cls._table) for cls in (Clause, Term, KDnfFormula))
+
+
+def test_equal_values_built_by_different_paths_are_one_object():
+    from resspace.boolfunc import xor_function
+    from resspace.compilers import compile_pebbling_rk
+    from resspace.formats import derivation_from_text, derivation_to_text, dnf_from_text
+    from resspace.graphs import pyramid_graph
+    from resspace.pebbling import trivial_black_pebbling
+    from resspace.proofs import AxiomDownload, Inference
+
+    # public constructors, in any literal and term order
+    assert Term([2, 1]) is Term((1, 2)) is Term([1, 2, 1])
+    assert Clause([-3, 1]) is Clause((1, -3))
+    d = KDnfFormula([[2, 1], [-3]], k=2)
+    assert d is KDnfFormula([Term([-3]), Term([1, 2]), [1, 2]], k=2)
+    assert d.terms[1] is Term([1, 2])
+    # the parser, from_clause, with_k and as_clause
+    assert dnf_from_text("-3|1^2", k=2) is d
+    assert KDnfFormula.from_clause(Clause([2, -1]), k=2) is KDnfFormula([[-1], [2]], k=2)
+    assert d.with_k(3) is KDnfFormula([[1, 2], [-3]], k=3)
+    assert d.with_k(2) is d
+    assert KDnfFormula([[2], [-1]]).as_clause() is Clause([-1, 2])
+    # a compiled proof and its parsed text share every line
+    dag, f = pyramid_graph(2), xor_function(2)
+    deriv = compile_pebbling_rk(dag, trivial_black_pebbling(dag), f)
+    parsed = derivation_from_text(derivation_to_text(deriv), deriv.formula)
+    pairs = list(zip(deriv.steps, parsed.steps))
+    assert pairs and len(pairs) == len(deriv.steps)
+    for a, b in pairs:
+        if isinstance(a, Inference):
+            assert b.formula is a.formula
+        elif isinstance(a, AxiomDownload):
+            assert b.clause is a.clause
+    # the hashes are the dataclass values, and equality keeps its pins
+    for lits in ([], [1], [3, -1, 2]):
+        assert hash(Term(lits)) == hash((Term(lits).lits,))
+        assert hash(Clause(lits)) == hash((Clause(lits).lits,))
+    for ts, k in (((), 1), ((Term([1, 2]), Term([-3])), 2)):
+        g = KDnfFormula(ts, k)
+        assert hash(g) == hash((g.terms, k))
+    c, t = Clause([1, -2]), Term([1, -2])
+    assert c.lits == t.lits and c != t and len({c, t}) == 2
+    with pytest.raises(TypeError):
+        sorted([c, t])
+    assert KDnfFormula([[1]], k=1) != KDnfFormula([[1]], k=2)
+
+
+@pytest.mark.parametrize(
+    "lits, bad", [([0], "0"), ([1, 0], "0"), (["x"], "'x'"), ([2, 1.0], "1.0"), ([None], "None")]
+)
+def test_validation_survives_interning(lits, bad):
+    # equal values are interned first: [2, 1.0] equals and hashes like (1, 2)
+    held = (Term([1, 2]), Clause([1, 2]), KDnfFormula([[1, 2]], k=3))
+    gc.collect()
+    before = _intern_counts()
+    test_bad_literals_still_raise(lits, bad)
+    test_term_wider_than_k_still_raises()
+    gc.collect()
+    assert _intern_counts() == before
+    assert held == (Term([1, 2]), Clause([1, 2]), KDnfFormula([[1, 2]], k=3))
+    with pytest.raises(ValueError, match=r"^term \(1, 2\) wider than k=1$"):
+        held[2].with_k(1)
+    with pytest.raises(ValueError, match=r"^term \(1,\) wider than k=0$"):
+        KDnfFormula.from_clause(Clause([1]), k=0)
+
+
+def test_int_subclass_literals_are_stored_as_ints():
+    assert Term([True, 2]) is Term([1, 2])
+    assert type(Clause([True]).lits[0]) is int
+    with pytest.raises(ValueError, match="^bad literal False$"):
+        Term([False])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Term([1, -2]), Clause([1, -2]), KDnfFormula([[1, -2], [3]], k=2), EMPTY_TERM, EMPTY_CLAUSE, EMPTY_DNF],
+    ids=repr,
+)
+def test_copy_and_pickle_return_the_interned_object(value):
+    import copy
+    import pickle
+
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value, value]) == [value, value]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+    assert EMPTY_TERM.lits == () and Term() is EMPTY_TERM
+    assert EMPTY_CLAUSE.lits == () and Clause() is EMPTY_CLAUSE
+    assert (EMPTY_DNF.terms, EMPTY_DNF.k) == ((), 1) and KDnfFormula() is EMPTY_DNF
+
+
+def test_intern_tables_keep_nothing_alive():
+    from resspace.boolfunc import xor_function
+    from resspace.compilers import compile_pebbling_rk
+    from resspace.formats import derivation_from_text, derivation_to_text
+    from resspace.graphs import pyramid_graph
+    from resspace.pebbling import trivial_black_pebbling
+
+    dag, f = pyramid_graph(3), xor_function(2)
+    moves = trivial_black_pebbling(dag)
+
+    def build():
+        deriv = compile_pebbling_rk(dag, moves, f)
+        return deriv, derivation_from_text(derivation_to_text(deriv), deriv.formula)
+
+    build()  # fills the caches that outlive one compile
+    gc.collect()
+    before = _intern_counts()
+    proofs = build()
+    assert all(n > m for n, m in zip(_intern_counts(), before))
+    del proofs
+    gc.collect()
+    assert _intern_counts() == before
