@@ -12,6 +12,7 @@ coincides with clause-deletion minimality of the corresponding CNF.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -122,6 +123,12 @@ def _renamed_lits(lits, perm):
     return [perm[abs(l) - 1] * (1 if l > 0 else -1) for l in lits]
 
 
+# Hits are grouped this many at a time, and the renamed images of one
+# group's chunk hold at most _CANON_BLOCK cells: a few MB at most.
+_CANON_HITS = 1 << 12
+_CANON_BLOCK = 1 << 16
+
+
 def _canonical_classes(universe, hits, var_masks, rename):
     """The classes of the hits under renaming of the used variables, each as
     its least sorted index tuple, sorted and deduplicated.
@@ -130,31 +137,69 @@ def _canonical_classes(universe, hits, var_masks, rename):
     a prefix 1..v are skipped.  ``rename(item, perm)`` maps an item through
     a permutation of 1..v and stays inside the universe.  The universe is
     sorted in output order, so the least index tuple is the least item
-    tuple.  An item's images are computed on first use only.
+    tuple.  An item's images under the v! renamings are computed on first
+    use only.  Hits are taken in groups of one size and one v: each hit's
+    images are sorted as one array, and the least of them is found one
+    position at a time.
     """
     index_of = {item: i for i, item in enumerate(universe)}
-    perms = {}
-    images = {}  # (v, i) -> index of item i under each permutation of 1..v
+    var = np.array(var_masks, dtype=np.int64)
+    tables = {}  # v -> (renamings, row of each item in images or -1, images)
     classes = set()
-    for hit in hits:
-        vm = 0
-        for i in hit:
-            vm |= var_masks[i]
-        if not _gap_free_mask(vm):
-            continue
-        v = vm.bit_length()
-        if v not in perms:
-            perms[v] = list(itertools.permutations(range(1, v + 1)))
-        rows = []
-        for i in hit:
-            row = images.get((v, i))
-            if row is None:
-                row = images[v, i] = [
-                    index_of[rename(universe[i], p)] for p in perms[v]
-                ]
-            rows.append(row)
-        classes.add(min(tuple(sorted(col)) for col in zip(*rows)))
+
+    def images_of(v, rows):
+        if v not in tables:
+            slot = np.full(len(universe), -1, dtype=np.intp)
+            perms = list(itertools.permutations(range(1, v + 1)))
+            tables[v] = perms, slot, np.empty((0, len(perms)), dtype=np.int32)
+        perms, slot, images = tables[v]
+        new = np.unique(rows)
+        new = new[slot[new] < 0]
+        if new.size:
+            slot[new] = np.arange(len(images), len(images) + new.size)
+            fresh = [
+                [index_of[rename(universe[i], p)] for p in perms] for i in new.tolist()
+            ]
+            images = np.concatenate((images, fresh), dtype=np.int32)
+            tables[v] = perms, slot, images
+        return images[slot[rows]]  # (hit, member, renaming)
+
+    for begin in range(0, len(hits), _CANON_HITS):
+        by_size = {}
+        for hit in hits[begin : begin + _CANON_HITS]:
+            by_size.setdefault(len(hit), []).append(hit)
+        for size, group in by_size.items():
+            rows = np.array(group, dtype=np.intp).reshape(len(group), size)
+            vm = np.bitwise_or.reduce(var[rows], axis=1)
+            gap_free = _gap_free_mask(vm)
+            rows, nvars = rows[gap_free], np.bitwise_count(vm[gap_free])
+            for v in np.unique(nvars).tolist():
+                of_v = rows[nvars == v]
+                step = max(1, _CANON_BLOCK // (size * math.factorial(v)))
+                for start in range(0, len(of_v), step):
+                    # (hit, renaming, member), each hit's image sorted
+                    img = images_of(v, of_v[start : start + step]).transpose(0, 2, 1)
+                    img = np.sort(img)
+                    alive = np.ones(img.shape[:2], dtype=bool)
+                    best = np.empty((img.shape[0], size), dtype=np.int32)
+                    for pos in range(size):
+                        col = np.where(alive, img[:, :, pos], len(universe))
+                        best[:, pos] = col.min(axis=1)
+                        alive &= col == best[:, pos, None]
+                    classes.update(map(tuple, best.tolist()))
     return sorted(classes)
+
+
+def _check_limits(max_vars, max_formulas):
+    """The checks both min-unsat searches make on their shared limits."""
+    if max_vars < 0:
+        raise InvalidParamError(f"max_vars must be non-negative, got {max_vars}")
+    if max_formulas < 1:
+        raise InvalidParamError(f"max_formulas must be positive, got {max_formulas}")
+    if max_vars > get_cap("ENUM_VARS"):
+        raise CapExceededError(f"max_vars {max_vars} exceeds cap")
+    if max_formulas > get_cap("ENUM_FORMULAS"):
+        raise CapExceededError(f"max_formulas {max_formulas} exceeds cap")
 
 
 def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None):
@@ -171,14 +216,7 @@ def enumerate_min_unsat(k: int, max_vars: int, max_formulas: int, max_terms=None
     """
     if k < 1:
         raise InvalidParamError(f"k must be positive, got {k}")
-    if max_vars < 0:
-        raise InvalidParamError(f"max_vars must be non-negative, got {max_vars}")
-    if max_formulas < 1:
-        raise InvalidParamError(f"max_formulas must be positive, got {max_formulas}")
-    if max_vars > get_cap("ENUM_VARS"):
-        raise CapExceededError(f"max_vars {max_vars} exceeds cap")
-    if max_formulas > get_cap("ENUM_FORMULAS"):
-        raise CapExceededError(f"max_formulas {max_formulas} exceeds cap")
+    _check_limits(max_vars, max_formulas)
     if k == 1:
         yield from _enumerate_cnf(max_vars, max_formulas)
         return
@@ -212,8 +250,7 @@ def scan_min_unsat_cnf(max_vars: int, max_formulas: int):
     (not deduplicated by renaming) and report
     (count, bound_violations, counts_by_size, max_vars_by_size); a
     violation is a set whose variable count reaches its clause count."""
-    if max_vars > get_cap("ENUM_VARS"):
-        raise CapExceededError(f"max_vars {max_vars} exceeds cap")
+    _check_limits(max_vars, max_formulas)
     _, masks, var_masks = _clause_universe(max_vars)
     return accel.cover_scan(masks, var_masks, 1 << max_vars, max_formulas)
 
@@ -223,11 +260,10 @@ def _all_terms(k, max_vars):
     return [Term(c.lits) for c in all_clauses_over(range(1, max_vars + 1), max_width=k)]
 
 
-def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
-    if (1 << max_vars) > 64:
-        raise CapExceededError("k-DNF enumeration supports at most 6 variables")
-    if max_formulas > 3:
-        raise CapExceededError("k-DNF enumeration supports at most 3 formulas")
+def _kdnf_universe(k, max_vars, max_terms):
+    """The formulas the k-DNF scan draws from, in output order, with their
+    satisfying-assignment masks, used-variable masks and shrink requirements,
+    and the mask of all assignments."""
     terms = _all_terms(k, max_vars)
     tmask = {t: _term_mask(t, max_vars) for t in terms}
     shrunk_mask = {
@@ -266,7 +302,15 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
             for lit in t.lits:
                 reqs.append(rest | shrunk_mask[(t, lit)])
         req_masks.append(tuple(reqs))
+    return universe, sats, var_masks, req_masks, full
 
+
+def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
+    if (1 << max_vars) > 64:
+        raise CapExceededError("k-DNF enumeration supports at most 6 variables")
+    if max_formulas > 3:
+        raise CapExceededError("k-DNF enumeration supports at most 3 formulas")
+    universe, sats, var_masks, req_masks, full = _kdnf_universe(k, max_vars, max_terms)
     hits = _kdnf_scan(sats, var_masks, req_masks, max_formulas, full)
 
     def rename(f, perm):
@@ -276,39 +320,62 @@ def _enumerate_kdnf(k, max_vars, max_formulas, max_terms):
         yield tuple(universe[i] for i in best)
 
 
-def _kdnf_scan(sats, var_masks, req_masks, max_formulas, full):
-    def shrink_ok(members):
-        for a in members:
-            others = full
-            for b in members:
-                if b != a:
-                    others &= sats[b]
-            for req in req_masks[a]:
-                if not others & req:
-                    return False
-        return True
+# The (j, l) blocks of the three-formula scan hold at most this many cells.
+_SCAN_BLOCK = 1 << 17
 
+
+def _all_hit(reqs, others):
+    """Row by row: does ``others`` meet every requirement mask of the row?
+    Rows are padded with the full mask, which any nonzero ``others`` meets."""
+    return ((reqs & others[:, None]) != 0).all(axis=1)
+
+
+def _kdnf_scan(sats, var_masks, req_masks, max_formulas, full):
+    """The index pairs and triples (i < j < l) of formulas that are jointly
+    unsatisfiable but not without their last member, whose second member
+    cuts the first's satisfying set, whose used variables are gap-free, and
+    which every single-literal shrink makes satisfiable, in lexicographic
+    order.
+
+    Every mask fits one uint64 (at most 2^6 assignments).  Each i takes its
+    j in one array operation and its (j, l) candidates in blocks of rows.
+    """
     n = len(sats)
+    sat = np.array(sats, dtype=np.uint64)
+    var = np.array(var_masks, dtype=np.int64)
+    reqs = np.full((n, max(map(len, req_masks), default=1)), full, dtype=np.uint64)
+    for a, row in enumerate(req_masks):
+        reqs[a, : len(row)] = row
     hits = []
     for i in range(n):
-        si = sats[i]
-        for j in range(i + 1, n):
-            joint = si & sats[j]
-            if joint == si:
-                continue
-            if joint == 0:
-                if (
-                    max_formulas >= 2
-                    and _gap_free_mask(var_masks[i] | var_masks[j])
-                    and shrink_ok((i, j))
-                ):
-                    hits.append((i, j))
-            elif max_formulas >= 3:
-                for l in range(j + 1, n):
-                    if sats[l] & joint:
-                        continue
-                    if _gap_free_mask(
-                        var_masks[i] | var_masks[j] | var_masks[l]
-                    ) and shrink_ok((i, j, l)):
-                        hits.append((i, j, l))
+        si = sat[i]
+        j = np.arange(i + 1, n)
+        joint = sat[i + 1 :] & si
+        live = joint != si  # formula j must cut the joint set
+        j, joint = j[live], joint[live]
+        if max_formulas >= 2:
+            pj = j[joint == 0]
+            pj = pj[_gap_free_mask(var[i] | var[pj])]
+            pj = pj[
+                _all_hit(reqs[[i]], sat[pj]) & _all_hit(reqs[pj], np.full(pj.size, si))
+            ]
+            hits += [(i, b) for b in pj.tolist()]
+        if max_formulas < 3:
+            continue
+        j, joint = j[joint != 0], joint[joint != 0]
+        rows = max(1, _SCAN_BLOCK // max(1, n - i))
+        for start in range(0, j.size, rows):
+            bj, bjoint = j[start : start + rows], joint[start : start + rows]
+            lo = int(bj[0]) + 1
+            r, c = np.nonzero((bjoint[:, None] & sat[None, lo:]) == 0)
+            tj, tl, tjoint = bj[r], c + lo, bjoint[r]
+            keep = (tl > tj) & _gap_free_mask(var[i] | var[tj] | var[tl])
+            tj, tl, tjoint = tj[keep], tl[keep], tjoint[keep]
+            # shrink tests, the most selective first: j against i and l
+            sl = sat[tl]
+            keep = _all_hit(reqs[tj], sl & si)
+            tj, tl, tjoint, sl = tj[keep], tl[keep], tjoint[keep], sl[keep]
+            ok = _all_hit(reqs[tl], tjoint) & _all_hit(reqs[[i]], sat[tj] & sl)
+            hits += [(i, b, c) for b, c in zip(tj[ok].tolist(), tl[ok].tolist())]
+    hits.sort()
     return hits

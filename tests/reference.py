@@ -3,8 +3,11 @@ from the definitions that the library's own paths are checked against."""
 
 from __future__ import annotations
 
+import itertools
+
 from resspace.boolfunc import BooleanFunction, SubstitutionVarMap
 from resspace.logic import KDnfFormula, Term, assignment_from_bits
+from resspace.minimal import _gap_free_mask
 
 
 def all_assignments(variables):
@@ -32,3 +35,119 @@ def minterm_dnf(f: BooleanFunction, var: int, positive: bool = True, k=None) -> 
                 Term([block[i] if (bits >> i) & 1 else -block[i] for i in range(f.d)])
             )
     return KDnfFormula(terms, k=f.d if k is None else k)
+
+
+# The min-unsat loops as they were before they ran on arrays and bit sets:
+# plain Python over the same masks, kept as the oracles of the faster ones.
+
+
+def canonical_classes(universe, hits, var_masks, rename):
+    """The classes of the hits under renaming of the used variables, each as
+    its least sorted index tuple, sorted and deduplicated.
+
+    A hit is a tuple of universe indices; hits whose used variables are not
+    a prefix 1..v are skipped.  ``rename(item, perm)`` maps an item through
+    a permutation of 1..v and stays inside the universe.  The universe is
+    sorted in output order, so the least index tuple is the least item
+    tuple.  An item's images are computed on first use only.
+    """
+    index_of = {item: i for i, item in enumerate(universe)}
+    perms = {}
+    images = {}  # (v, i) -> index of item i under each permutation of 1..v
+    classes = set()
+    for hit in hits:
+        vm = 0
+        for i in hit:
+            vm |= var_masks[i]
+        if not _gap_free_mask(vm):
+            continue
+        v = vm.bit_length()
+        if v not in perms:
+            perms[v] = list(itertools.permutations(range(1, v + 1)))
+        rows = []
+        for i in hit:
+            row = images.get((v, i))
+            if row is None:
+                row = images[v, i] = [
+                    index_of[rename(universe[i], p)] for p in perms[v]
+                ]
+            rows.append(row)
+        classes.add(min(tuple(sorted(col)) for col in zip(*rows)))
+    return sorted(classes)
+
+
+def kdnf_scan(sats, var_masks, req_masks, max_formulas, full):
+    """The k-DNF scan's hits, one pair or triple of Python ints at a time."""
+    def shrink_ok(members):
+        for a in members:
+            others = full
+            for b in members:
+                if b != a:
+                    others &= sats[b]
+            for req in req_masks[a]:
+                if not others & req:
+                    return False
+        return True
+
+    n = len(sats)
+    hits = []
+    for i in range(n):
+        si = sats[i]
+        for j in range(i + 1, n):
+            joint = si & sats[j]
+            if joint == si:
+                continue
+            if joint == 0:
+                if (
+                    max_formulas >= 2
+                    and _gap_free_mask(var_masks[i] | var_masks[j])
+                    and shrink_ok((i, j))
+                ):
+                    hits.append((i, j))
+            elif max_formulas >= 3:
+                for l in range(j + 1, n):
+                    if sats[l] & joint:
+                        continue
+                    if _gap_free_mask(
+                        var_masks[i] | var_masks[j] | var_masks[l]
+                    ) and shrink_ok((i, j, l)):
+                        hits.append((i, j, l))
+    return hits
+
+
+def cover_dfs(masks, npoints, max_cubes, visit):
+    """Call ``visit(chosen)`` on every irredundant cover of ``npoints``
+    points by at most ``max_cubes`` of the subcube masks, in DFS order.
+    ``chosen`` lists mask indices in branching order and is reused after
+    ``visit`` returns."""
+    full_mask = (1 << npoints) - 1
+    point_sets = [
+        [i for i, m in enumerate(masks) if (m >> p) & 1] for p in range(npoints)
+    ]
+
+    def rec(covered, twice, chosen, forbidden):
+        # twice: the points covered by at least two chosen cubes, so a
+        # cube's private points are its points outside twice
+        if covered == full_mask:
+            visit(chosen)
+            return
+        if len(chosen) >= max_cubes:
+            return
+        p = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered point
+        tried = []
+        for c in point_sets[p]:
+            if c in forbidden:
+                continue
+            m = masks[c]
+            now_twice = twice | (covered & m)
+            if m & ~now_twice:
+                for i in chosen:
+                    if not masks[i] & ~now_twice:
+                        break
+                else:
+                    chosen.append(c)
+                    rec(covered | m, now_twice, chosen, forbidden | set(tried))
+                    chosen.pop()
+            tried.append(c)
+
+    rec(0, 0, [], frozenset())

@@ -29,7 +29,7 @@ from resspace.minimal import (
     _var_mask,
     is_minimally_unsatisfiable,
 )
-from reference import all_assignments
+from reference import all_assignments, cover_dfs
 
 
 def _random_entities(rng, nv):
@@ -183,6 +183,19 @@ def test_cover_enumeration_and_scan_agree(max_vars, max_cubes):
     assert violations == want_violations
 
 
+@pytest.mark.parametrize("max_vars, max_cubes", [(3, 8), (4, 6)])
+def test_cover_enumeration_matches_the_set_based_walk(max_vars, max_cubes):
+    # the bit-set walk visits the covers of the walk that carried its
+    # forbidden candidates as sets, in the same order
+    masks, _, npoints = _clause_universe(max_vars)
+    want = []
+    cover_dfs(
+        masks, npoints, max_cubes, lambda chosen: want.append(tuple(sorted(chosen)))
+    )
+    assert len(want) > 800
+    assert accel.cover_enumeration(masks, npoints, max_cubes) == want
+
+
 def test_cover_enumeration_output_limit_is_a_cap_error():
     masks, _, npoints = _clause_universe(2)
     assert len(accel.cover_enumeration(masks, npoints, 4, out_limit=11)) == 11
@@ -198,7 +211,7 @@ def test_unsafe_cap_override(monkeypatch):
     assert get_cap("IMPLIES_VARS") == 26
 
 
-def test_kdnf_scan_fallback_agrees():
+def test_kdnf_scan_matches_definition():
     # the scan's hits are exactly the gap-free pairs and triples of the
     # tiny formula list that the definitional checker calls minimal
     k, max_vars = 2, 3

@@ -16,6 +16,8 @@ from resspace.logic import (
 from resspace.minimal import (
     _canonical_classes,
     _clause_universe,
+    _kdnf_scan,
+    _kdnf_universe,
     _renamed_lits,
     block_substituted_min_unsat,
     enumerate_min_unsat,
@@ -23,6 +25,7 @@ from resspace.minimal import (
     minimally_implies,
     scan_min_unsat_cnf,
 )
+from reference import canonical_classes, kdnf_scan
 
 
 def is_minimally_unsatisfiable_cnf(formula: CnfFormula) -> bool:
@@ -228,6 +231,57 @@ def test_canonical_classes_match_reference_on_random_hits():
             want.add(tuple(index_of[c] for c in canon))
     assert 0 < len(want) < len(hits)
     assert got == sorted(want)
+
+
+@pytest.mark.parametrize("max_vars", [5, 6])
+def test_canonical_classes_match_reference_on_random_kdnf_hits(max_vars):
+    # pairs and triples of 2-DNFs whose variables are exactly 1..v for
+    # v = max_vars or one less: the 120- and 720-renaming paths, checked
+    # against the from-scratch canonical form and the per-hit loop
+    universe, _, var_masks, _, _ = _kdnf_universe(2, max_vars, 2)
+    index_of = {f: i for i, f in enumerate(universe)}
+    rng = random.Random(max_vars)
+    hits = []
+    while len(hits) < 24:
+        hit = tuple(sorted(rng.sample(range(len(universe)), rng.randint(2, 3))))
+        vm = 0
+        for i in hit:
+            vm |= var_masks[i]
+        if vm in ((1 << max_vars) - 1, (1 << (max_vars - 1)) - 1):
+            hits.append(hit)
+    hits += hits[:4]  # repeated hits land in one class
+
+    def rename(f, perm):
+        return KDnfFormula([Term(_renamed_lits(t.lits, perm)) for t in f.terms], k=2)
+
+    got = _canonical_classes(universe, hits, var_masks, rename)
+    want = {
+        tuple(index_of[f] for f in _canonical_set([universe[i] for i in hit], 2))
+        for hit in hits
+    }
+    assert got == sorted(want)
+    assert got == canonical_classes(universe, hits, var_masks, rename)
+
+
+def test_kdnf_scan_matches_reference_loop():
+    # the block scan returns the per-triple loop's hits, in its order
+    universe, sats, var_masks, req_masks, full = _kdnf_universe(2, 4, 2)
+    assert len(universe) == 476
+    got = _kdnf_scan(sats, var_masks, req_masks, 3, full)
+    assert len(got) == 2948
+    assert got == kdnf_scan(sats, var_masks, req_masks, 3, full)
+
+
+def test_scan_rejects_negative_max_vars_and_nonpositive_max_formulas():
+    with pytest.raises(InvalidParamError, match="max_vars"):
+        scan_min_unsat_cnf(-1, 3)
+    for max_formulas in (0, -1):
+        with pytest.raises(InvalidParamError, match="max_formulas"):
+            scan_min_unsat_cnf(1, max_formulas)
+    with pytest.raises(CapExceededError):
+        scan_min_unsat_cnf(9, 3)
+    with pytest.raises(CapExceededError):
+        scan_min_unsat_cnf(2, 19)
 
 
 def test_enumerate_rejects_nonpositive_k_and_negative_max_vars():
