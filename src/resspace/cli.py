@@ -195,9 +195,9 @@ def cmd_project(args):
     subbed = base if f.name == "identity" else substitute_formula(base, f)
     with open(args.proof) as fh:
         deriv = derivation_from_text(fh.read(), subbed)
-    log = replay(deriv)
     projector = shared_projector(base, f)
-    for t, cfg in enumerate(log.configs):
+    projector._check_caps(0, args.mode)  # the base cap, before replaying
+    for t, _, cfg in replay(deriv).walk():
         projected = projector.project_board(cfg, mode=args.mode)
         shown = " ".join(
             "0" if not c.lits else "|".join(str(l) for l in c.lits)

@@ -292,11 +292,12 @@ def translate_refutation(
         raise InvalidParamError(
             f"translation handles resolution (k=1) refutations only, not k={deriv.k}"
         )
+    projector = shared_projector(base_formula, f)
+    projector._check_caps(0, "subset")  # the base cap, before replaying
     log = replay(deriv)
     if not log.refuted:
         raise InvalidInputError("input does not refute the substituted formula")
     axmap = _axiom_of(base_formula, f)
-    projector = shared_projector(base_formula, f)
     out = DerivationBuilder(base_formula, k=1)
     board: dict[Clause, int] = {}
     prev = frozenset()
@@ -352,8 +353,9 @@ def translate_refutation(
         return cur_id
 
     zero = Clause()
-    for t, ev in enumerate(log.events):
-        cfg = log.configs[t + 1]
+    for t, ev, cfg in log.walk():
+        if not t:
+            continue  # the seeded board of a CNF refutation is empty
         cur = projector.project_board(cfg, mode="subset")
         sequence.append(cur)
         added = sorted(cur - prev)
@@ -451,8 +453,9 @@ def extract_pebbling(
             moves.append(Move("rw", v))
         black, white = set(new_black), set(new_white)
 
-    for t, ev in enumerate(log.events):
-        cfg = log.configs[t + 1]
+    for t, ev, cfg in log.walk():
+        if not t:
+            continue
         pos = set()
         neg = set()
         for line in cfg:
@@ -506,13 +509,15 @@ def project_invariant_audit(
         raise AuthoritarianFunctionError(
             f"{f.name} is authoritarian: the audit preconditions fail"
         )
-    log = replay(deriv)
     projector = shared_projector(base_formula, f)
     mode = "subset" if deriv.k == 1 else "whole_set"
+    projector._check_caps(0, mode)  # the base cap, before replaying
+    log = replay(deriv)
     varmap = SubstitutionVarMap(f.d)
     violations = []
-    audited = 0
-    for t, cfg in enumerate(log.configs):
+    audited = configurations = 0
+    for t, _, cfg in log.walk():
+        configurations += 1
         if not cfg:
             continue
         projected = projector.project_board(cfg, mode=mode)
@@ -534,5 +539,5 @@ def project_invariant_audit(
             if not set(varmap.block(x)) & cfg_vars:
                 violations.append((t, f"no block variable of {x} on the board"))
     return AuditReport(
-        configurations=len(log.configs), audited=audited, violations=tuple(violations)
+        configurations=configurations, audited=audited, violations=tuple(violations)
     )

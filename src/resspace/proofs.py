@@ -252,20 +252,19 @@ class ReplayLog:
     def refuted(self) -> bool:
         return self.first_zero is not None
 
-    @cached_property
-    def configs(self) -> list[frozenset[KDnfFormula]]:
-        """Frozensets of line values: configs[0] is the seeded board and
-        configs[t + 1] the board after step t.  Built from the events on
-        first read, so a replay that only needs the measures holds none."""
+    def walk(self):
+        """The boards one at a time, as frozensets of line values: (0, None,
+        the seeded board), then (t, event t, the board after it) for t = 1,
+        2, ...  Each walk re-applies the events to a fresh board and keeps
+        none of the boards it yields."""
         config = _seeded(self.derivation)
-        out = [config.values()]
-        for ev in self.events:
+        yield 0, None, config.values()
+        for t, ev in enumerate(self.events, 1):
             if ev.kind == "erase":
                 config.pop(ev.new_id)
             else:
                 config.add(ev.formula)
-            out.append(config.values())
-        return out
+            yield t, ev, config.values()
 
 
 @dataclass(frozen=True)

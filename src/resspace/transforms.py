@@ -117,8 +117,7 @@ def make_frugal(deriv: Derivation) -> Derivation:
     zero = zero_formula(1)
     cur = {zero}
     ops_rev = []
-    for t in range(s, 0, -1):
-        ev = log.events[t - 1]
+    for ev in reversed(log.events[:s]):
         if ev.kind == "axiom":
             if ev.formula in cur:
                 ops_rev.append(("axiom", ev.formula))
@@ -155,33 +154,21 @@ def is_frugal(deriv: Derivation) -> bool:
     configuration, then the forward essential-configuration predicate."""
     log = _resolution_log(deriv)
     s = log.first_zero
-    zero = zero_formula(1)
-    essential = {t: set() for t in range(len(log.configs))}
-    essential[s] = {zero}
+    _, events, boards = zip(*log.walk())  # events[t] leads to boards[t]
+    essential = [set() for _ in boards]
+    essential[s] = {zero_formula(1)}
     for t in range(s, 0, -1):
-        ev = log.events[t - 1]
-        here = essential[t]
-        below = essential[t - 1]
+        ev, here, below = events[t], essential[t], essential[t - 1]
         if ev.kind == "infer" and ev.formula in here:
             below.update(ev.premise_values)
-        for d in here:
-            if d in log.configs[t - 1]:
-                below.add(d)
-    ok_prev = True
-    for t in range(1, len(log.configs)):
-        cfg = log.configs[t]
-        ev = log.events[t - 1]
-        if all(v in essential[t] for v in cfg):
-            ok = True
-        elif (
-            ev.kind == "infer"
-            and ev.formula in essential[t]
-            and all(v in essential[t - 1] for v in log.configs[t - 1])
-        ):
-            ok = True
-        elif ev.kind == "erase" and ok_prev:
-            ok = True
-        else:
-            return False
-        ok_prev = ok
-    return True
+        below.update(here & boards[t - 1])
+    return all(
+        boards[t] <= essential[t]
+        or events[t].kind == "erase"
+        or (
+            events[t].kind == "infer"
+            and events[t].formula in essential[t]
+            and boards[t - 1] <= essential[t - 1]
+        )
+        for t in range(1, len(boards))
+    )

@@ -305,7 +305,7 @@ def test_criterion_11_implied_clause_bounds():
             continue
         deriv = derive_implied_clause(premises, target)
         log = replay(deriv)
-        assert KDnfFormula.from_clause(target) in log.configs[-1]
+        assert KDnfFormula.from_clause(target) in [b for _, _, b in log.walk()][-1]
         n = len(
             set().union(
                 *(set(c.variables()) for c in premises), set(target.variables())
@@ -416,7 +416,7 @@ def test_criterion_14_kdnf_checker():
         canonical_clauses(XOR2, True), dnf_representation(XOR2, 1, True), 2
     )
     log = replay(walk)
-    assert dnf_representation(XOR2, 1, True) in set().union(*log.configs)
+    assert dnf_representation(XOR2, 1, True) in set().union(*(b for _, _, b in log.walk()))
     assert any(isinstance(s, Inference) and s.rule == "andi" for s in walk.steps)
 
     # the k-DNF pebbling compiler at k = d = 2; frozen space constant c = 10

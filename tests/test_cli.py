@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 
 import pytest
@@ -273,6 +274,79 @@ def test_project_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t=0 {}" in out
     assert "{0}" in out  # the final configurations project the empty clause
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _write_base(path, graph):
+    from resspace.compilers import pebbling_formula
+    from resspace.formats import cnf_to_dimacs
+    from resspace.graphs import make_graph
+
+    family, _, param = graph.partition(":")
+    path.write_text(cnf_to_dimacs(pebbling_formula(make_graph(family, int(param))).base))
+
+
+@pytest.mark.parametrize(
+    "graph, f, extra, lines, digest",
+    [
+        ("path:2", "xor:2", [], 42,
+         "4c2d71695b9f2ab8d873e17c1314b44497c34dd0881c8ac55bc0bcd6e14e1cdc"),
+        ("path:3", "maj:3", ["--mode", "whole_set"], 420,
+         "a02a772e5b458dae40da566713acb66685040f143a5dc716d77440fd30cfb941"),
+    ],
+    ids=["path:2/xor:2/subset", "path:3/maj:3/k=d/whole_set"],
+)
+def test_project_output_pinned(tmp_path, capsys, graph, f, extra, lines, digest):
+    """Every line of ``resspace project``: one projected set per board."""
+    base, proof = tmp_path / "base.cnf", tmp_path / "p.proof"
+    _write_base(base, graph)
+    k = ["--k", "d"] if extra else []
+    run(["compile", "--graph", graph, "--f", f, *k, "--out", str(proof)])
+    capsys.readouterr()
+    argv = ["project", "--base", str(base), "--f", f, "--proof", str(proof), *extra]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert _sha256(out) == digest
+
+
+def test_extract_pipeline_and_check_output_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(["compile", "--graph", "pyramid:2", "--f", "xor:2", "--out", "p.proof"])
+    run(["gen", "--graph", "pyramid:2", "--f", "xor:2", "--out", "peb"])
+    capsys.readouterr()
+    argv = ["extract", "--graph", "pyramid:2", "--f", "xor:2", "--proof", "p.proof"]
+    assert run(argv + ["--out", "p.moves"]) == 0
+    assert capsys.readouterr().out == "pebbling time=11 space=4\nwrote p.moves\n"
+    assert _sha256((tmp_path / "p.moves").read_text()) == (
+        "09a5c5d30b19dfca430227e583f325ca77d7d4887bcde9f87a916529ea7615bd"
+    )
+    assert run(["pipeline", "--graph", "pyramid:2", "--f", "xor:2"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "4d4922b8667ec963a832722f9ad619341fe7a6c2c52c3c941fff8d28522f0d6a"
+    )
+    assert run(["check", "--formula", "peb.cnf", "--proof", "p.proof"]) == 0
+    assert capsys.readouterr().out == (
+        "refutation ok: length=125 formula_space=12 total_space=38 "
+        "variable_space=8 width=6\n"
+    )
+
+
+def test_project_over_the_base_cap_exits_3(tmp_path, capsys):
+    # pyramid:4 has 15 vertices, above the cap of 12 base variables
+    base, proof = tmp_path / "base.cnf", tmp_path / "p.proof"
+    _write_base(base, "pyramid:4")
+    run(["compile", "--graph", "pyramid:4", "--f", "xor:2", "--out", str(proof)])
+    capsys.readouterr()
+    argv = ["project", "--base", str(base), "--f", "xor:2", "--proof", str(proof)]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error [CAP_EXCEEDED]: 15 base variables exceed projection cap" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_project_kdnf_proof_in_subset_mode_exits_2(tmp_path, capsys):

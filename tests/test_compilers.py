@@ -202,7 +202,7 @@ def test_xor_walkthrough_ladder():
     assert any(
         isinstance(s, Inference) and s.rule == "andi" for s in d.steps
     )
-    assert dnf_representation(f, 1, True) in set().union(*log.configs)
+    assert dnf_representation(f, 1, True) in set().union(*(b for _, _, b in log.walk()))
 
 
 def test_xor3_walkthrough_ladder():
@@ -211,7 +211,7 @@ def test_xor3_walkthrough_ladder():
         canonical_clauses(f, True), dnf_representation(f, 1, True), 3
     )
     log = replay(d)
-    assert dnf_representation(f, 1, True).with_k(3) in set().union(*log.configs)
+    assert dnf_representation(f, 1, True).with_k(3) in set().union(*(b for _, _, b in log.walk()))
 
 
 def test_refute_dnf_pair_lengths():

@@ -613,7 +613,7 @@ def test_projection_matches_definition_on_compiled_configurations(
         configs = sorted(
             {
                 cfg
-                for cfg in replay(compiler(g, trivial_black_pebbling(g), f)).configs
+                for _, _, cfg in replay(compiler(g, trivial_black_pebbling(g), f)).walk()
                 if cfg and len(cfg) <= max_lines
             },
             key=lambda cfg: sorted(cfg),
@@ -685,7 +685,7 @@ def _count_projections(monkeypatch):
 def test_caps_raise_on_memo_and_cache_hits(monkeypatch, cap):
     shared_projector.cache_clear()
     fm, deriv = _pipeline(pyramid_graph(1), XOR2)
-    board = max(replay(deriv).configs, key=len)
+    board = max((b for _, _, b in replay(deriv).walk()), key=len)
     want = shared_projector(fm.base, XOR2).project_board(board)
     assert want == project(board, fm.base, XOR2)
     size = len(board) if cap == "PROJECT_SUBSET_FORMULAS" else len(fm.base.variables())
@@ -698,10 +698,32 @@ def test_caps_raise_on_memo_and_cache_hits(monkeypatch, cap):
     assert shared_projector(fm.base, XOR2).project_board(board) == want
 
 
+def test_base_cap_raises_before_replaying(monkeypatch):
+    """The base-variable cap depends on no board, so an over-cap base is
+    rejected before the proof is replayed, with the projector's message."""
+    from resspace import projection
+
+    def no_replay(deriv):
+        pytest.fail("replayed a proof over an over-cap base")
+
+    monkeypatch.setattr(projection, "replay", no_replay)
+    shared_projector.cache_clear()
+    g = pyramid_graph(4)  # 15 base variables, above the cap of 12
+    fm = pebbling_formula(g, XOR2)
+    deriv = compile_pebbling(g, trivial_black_pebbling(g), XOR2)
+    message = "15 base variables exceed projection cap"
+    with pytest.raises(CapExceededError, match=message):
+        translate_refutation(deriv, fm.base, XOR2)
+    with pytest.raises(CapExceededError, match=message):
+        extract_pebbling(deriv, g, XOR2)
+    with pytest.raises(CapExceededError, match=message):
+        project_invariant_audit(deriv, fm.base, XOR2)
+
+
 def test_a_call_that_raises_stores_nothing(monkeypatch):
     shared_projector.cache_clear()
     fm, deriv = _pipeline(pyramid_graph(1), XOR2)
-    board = max(replay(deriv).configs, key=len)
+    board = max((b for _, _, b in replay(deriv).walk()), key=len)
     calls = _count_projections(monkeypatch)
     monkeypatch.setenv("RESSPACE_UNSAFE_PROJECT_SUBSET_FORMULAS", str(len(board) - 1))
     with pytest.raises(CapExceededError):
@@ -733,7 +755,7 @@ def test_extract_then_audit_projects_each_board_once(monkeypatch):
     calls = _count_projections(monkeypatch)
     extract_pebbling(deriv, g, XOR2, require_space_bound=True)
     project_invariant_audit(deriv, fm.base, XOR2)
-    assert len(calls) == len({cfg for cfg in replay(deriv).configs if cfg})
+    assert len(calls) == len({cfg for _, _, cfg in replay(deriv).walk() if cfg})
 
 
 @pytest.mark.parametrize(
@@ -761,7 +783,7 @@ def test_memoised_projections_are_exact(graph, f, k):
     assert through_the_cache() == cold  # every board a memo hit
     projector = shared_projector(fm.base, f)
     modes = ("subset", "whole_set") if deriv.k == 1 else ("whole_set",)
-    for cfg in replay(deriv).configs:
+    for _, _, cfg in replay(deriv).walk():
         for mode in modes:
             projector.project_board(cfg, mode=mode)
     memo = dict(projector._memo)
@@ -942,7 +964,7 @@ def test_projection_equals_the_reference_on_every_board(graph, fspec, pebbling, 
     compile_fn = compile_pebbling if k == 1 else compile_pebbling_rk
     base = pebbling_formula(g, f).base
     mode = "subset" if k == 1 else "whole_set"
-    boards = {cfg for cfg in replay(compile_fn(g, moves, f)).configs if cfg}
+    boards = {cfg for _, _, cfg in replay(compile_fn(g, moves, f)).walk() if cfg}
     projector, reference = Projector(base, f), ReferenceProjector(base, f)
     nonempty = 0
     for cfg in boards:

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -40,6 +41,10 @@ def dnf(terms, k=1):
     return KDnfFormula([Term(t) for t in terms], k=k)
 
 
+def _boards(log):
+    return [board for _, _, board in log.walk()]
+
+
 def test_resolution_cut_accepted():
     f = CnfFormula([[1, 2], [-1, 3]])
     b = DerivationBuilder(f, k=1)
@@ -73,7 +78,7 @@ def test_kcut_multiliteral():
         assumptions=(d1, d2),
     )
     log = replay(deriv)
-    assert cons in log.configs[-1]
+    assert cons in _boards(log)[-1]
 
 
 def test_kcut_needs_all_negated_literals():
@@ -96,10 +101,11 @@ def test_syntactic_steps_also_semantically_sound():
         [Clause([1, 2]), Clause([-1, 2]), Clause([-2])], Clause()
     )
     log = replay(d)
+    boards = _boards(log)
     for t, ev in enumerate(log.events):
         if ev.kind != "infer":
             continue
-        assert implies(list(log.configs[t]), [ev.formula])
+        assert implies(list(boards[t]), [ev.formula])
 
 
 def test_and_introduction():
@@ -120,7 +126,7 @@ def test_and_introduction():
         ),
     )
     log = replay(deriv)
-    assert cons in log.configs[-1]
+    assert cons in _boards(log)[-1]
 
 
 def test_and_introduction_width_cap():
@@ -152,7 +158,7 @@ def test_and_elimination():
         ),
     )
     log = replay(deriv)
-    assert dnf([[1]], k=2) in log.configs[-1]
+    assert dnf([[1]], k=2) in _boards(log)[-1]
 
 
 def test_semantic_step_zero_from_contradiction():
@@ -288,7 +294,7 @@ def test_derive_present_clause():
     d = derive_implied_clause([Clause([1, 2])], Clause([1, 2]))
     log = replay(d)
     assert log.measures.length <= 3
-    assert KDnfFormula.from_clause(Clause([1, 2])) in log.configs[-1]
+    assert KDnfFormula.from_clause(Clause([1, 2])) in _boards(log)[-1]
 
 
 def test_derive_not_implied():
@@ -310,7 +316,7 @@ def test_derive_eq21_partial():
     target = Clause([3, -4])
     d = derive_implied_clause(premises, target)
     log = replay(d)
-    assert KDnfFormula.from_clause(target) in log.configs[-1]
+    assert KDnfFormula.from_clause(target) in _boards(log)[-1]
     n = 4
     assert log.measures.length <= (1 << (n + 1)) - 1
     assert log.measures.total_space <= n * (n + 2)
@@ -328,7 +334,7 @@ def test_derive_bounds_seeded():
             continue
         d = derive_implied_clause(premises, target)
         log = replay(d)
-        assert KDnfFormula.from_clause(target) in log.configs[-1]
+        assert KDnfFormula.from_clause(target) in _boards(log)[-1]
         n = len(
             set().union(*(set(c.variables()) for c in premises), set(target.variables()))
         )
@@ -424,9 +430,10 @@ def test_checker_mutation_soundness():
             rejected += 1
             continue
         accepted += 1
+        boards = _boards(log)
         for t, ev in enumerate(log.events):  # accepted mutants stay sound
             if ev.kind == "infer":
-                assert implies(list(log.configs[t]), [ev.formula])
+                assert implies(list(boards[t]), [ev.formula])
     assert rejected > accepted
 
 
@@ -478,7 +485,7 @@ def _assert_matches_scratch(deriv):
     configs, measures, first_zero = _from_scratch(deriv)
     assert log.measures == measures
     assert log.first_zero == first_zero
-    assert log.configs == configs
+    assert _boards(log) == configs
     return log
 
 
@@ -541,7 +548,7 @@ def test_measures_match_scratch_on_seeded_derivations():
             assumptions=(unit, unit),
         )
     )
-    assert unit in log.configs[1] and log.first_zero == 3
+    assert unit in _boards(log)[1] and log.first_zero == 3
     # a seeded zero is on the board before the first step
     log = _assert_matches_scratch(
         Derivation(
@@ -553,7 +560,7 @@ def test_measures_match_scratch_on_seeded_derivations():
         )
     )
     assert log.first_zero == 0 and log.refuted
-    assert zero_formula(1) not in log.configs[1]
+    assert zero_formula(1) not in _boards(log)[1]
 
 
 def test_measures_match_scratch_when_an_erased_value_has_a_twin():
@@ -572,9 +579,10 @@ def test_measures_match_scratch_when_an_erased_value_has_a_twin():
         Inference(zero_formula(1), "cut", (5, 6)),
     )
     log = _assert_matches_scratch(Derivation(f, 1, "syntactic", steps))
-    assert pair in log.configs[4] and pair not in log.configs[7]
-    assert dnf([[2]]) in log.configs[8]
-    assert log.configs[6] == {pair, dnf([[-1]]), dnf([[2]])}  # four live ids
+    boards = _boards(log)
+    assert pair in boards[4] and pair not in boards[7]
+    assert dnf([[2]]) in boards[8]
+    assert boards[6] == {pair, dnf([[-1]]), dnf([[2]])}  # four live ids
     assert log.measures.formula_space == 4  # {~1, 2, ~2, 0} at the end
     assert log.measures.total_space == 4  # 1 v 2, ~1 and 2 count once each
     assert log.measures.variable_space == 2
@@ -618,6 +626,66 @@ def test_measures_match_scratch_on_random_semantic_derivations():
                 )
             steps.append(step)
         _assert_matches_scratch(Derivation(f, k, "semantic", tuple(steps)))
+
+
+def test_measures_match_scratch_on_drawn_derivations():
+    """Syntactic derivations drawn step by step through DerivationBuilder, at
+    k = 1 and 2: axiom downloads, cuts of two live lines that clash on a unit
+    term, weakenings and erasures of live ids.  Both refuting and
+    non-refuting draws occur, and so do values held by two live ids."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def signed(variables):
+        return st.tuples(*(st.sampled_from((v, -v)) for v in variables))
+
+    def term(width):
+        return st.lists(st.integers(1, 3), min_size=1, max_size=width, unique=True).flatmap(
+            signed
+        )
+
+    seen = collections.Counter()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.sampled_from((1, 2)))
+        # a contradiction of two units now and then, so that some draws refute
+        units = [(1,), (-1,)] * data.draw(st.booleans())
+        formula = CnfFormula(data.draw(st.lists(term(3), min_size=1, max_size=5)) + units)
+        b = DerivationBuilder(formula, k=k)
+        twins = False
+        for _ in range(data.draw(st.integers(0, 24))):
+            live = sorted(b.live)
+            cuts = [
+                (p, n, t.lits[0])
+                for p in live
+                for n in live
+                for t in b.value(p).terms
+                if p != n and len(t) == 1 and Term([-t.lits[0]]) in b.value(n).terms
+            ]
+            kinds = ["axiom"] + ["erase", "weak"] * bool(live) + ["cut"] * 3 * bool(cuts)
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "axiom":
+                b.download(data.draw(st.sampled_from(formula.clauses)))
+            elif kind == "erase":
+                b.erase(data.draw(st.sampled_from(live)))
+            elif kind == "weak":
+                i = data.draw(st.sampled_from(live))
+                extra = data.draw(st.lists(term(k), max_size=2))
+                b.infer("weak", [i], KDnfFormula(b.value(i).terms + tuple(extra), k=k))
+            else:
+                p, n, x = data.draw(st.sampled_from(cuts))
+                terms = [t for t in b.value(p).terms if t != Term([x])]
+                terms += [t for t in b.value(n).terms if t != Term([-x])]
+                b.infer("cut", [p, n], KDnfFormula(terms, k=k))
+            twins |= len(set(b.live.values())) < len(b.live)
+        log = _assert_matches_scratch(b.build())
+        seen["refuting" if log.refuted else "not refuting"] += 1
+        seen["twins"] += twins
+
+    check()
+    assert seen["refuting"] and seen["not refuting"] and seen["twins"], seen
 
 
 def test_semantic_consequence_stays_over_board_and_formula_variables():
@@ -665,15 +733,6 @@ def test_long_proof_measures_pinned():
         max_terms=9,
         max_formula_size=18,
     )
-
-
-def test_replay_builds_configurations_on_first_read():
-    d = derive_implied_clause([Clause([1, 2]), Clause([-1, 2]), Clause([-2])], Clause())
-    log = replay(d)
-    assert "configs" not in vars(log)
-    configs = log.configs
-    assert vars(log)["configs"] is configs and log.configs is configs
-    assert len(configs) == len(d.steps) + 1 and configs[0] == frozenset()
 
 
 def test_step_error_messages():

@@ -6,6 +6,9 @@ A name counts as referenced when an identifier of that spelling appears in
 definition: a variable or call, an attribute, or a component of a dotted
 string such as the benchmark's tracing targets.  The test is conservative:
 a local variable that shares a public name hides it.
+
+A second scan keeps the pairing of replay events with boards inside
+``proofs.py``: the other modules read boards through ``ReplayLog.walk``.
 """
 
 import ast
@@ -76,3 +79,32 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not only_tests, f"public names reached only from tests: {only_tests}"
     stale = sorted(allowed - unreached)
     assert not stale, f"allowlist entries that are gone or have a caller: {stale}"
+
+
+def _board_pairings(tree) -> list[str]:
+    """Reads of a ``configs`` attribute, and subscripts of an ``events``
+    attribute by index rather than by slice."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "configs":
+            out.append(f"line {node.lineno}: .configs")
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "events"
+            and not isinstance(node.slice, ast.Slice)
+        ):
+            out.append(f"line {node.lineno}: .events[{ast.unparse(node.slice)}]")
+    return out
+
+
+def test_only_proofs_pairs_steps_with_boards():
+    """Which event leads to which board is known to ``proofs.py`` alone:
+    every other module reads the boards through ``ReplayLog.walk``."""
+    found = {
+        path.name: hits
+        for path in LIBRARY
+        if path.name != "proofs.py"
+        and (hits := _board_pairings(ast.parse(path.read_text())))
+    }
+    assert not found, f"boards paired with steps outside proofs.py: {found}"
