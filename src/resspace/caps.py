@@ -20,8 +20,12 @@ _DEFAULTS = {
     "SEARCH_STATES": 8_000_000,
     # projection: candidate clauses are enumerated over Vars(F)
     "PROJECT_BASE_VARS": 12,
-    # projection, subset mode: 2^|D| subsets per configuration
-    "PROJECT_SUBSET_FORMULAS": 16,
+    # projection, subset mode: one sweep of |D| member masks, then per clause
+    # a frontier of maximal member intersections that can grow with |D|.
+    # Random boards over 18 substituted variables took at most 0.17 s up to
+    # 40 members, but up to 2.6 s at 60-63 (one board 63 s); the boards of
+    # pipeline pyramid:2 with xor:3 reach 23 members and 0.06 s.
+    "PROJECT_SUBSET_FORMULAS": 32,
     # projection, whole-set mode
     "PROJECT_WHOLESET_FORMULAS": 64,
     # min-unsat enumeration

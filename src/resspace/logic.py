@@ -494,6 +494,21 @@ def _normalize_side(side):
     return list(side)
 
 
+def _swept_variables(entities):
+    """The sorted variables of the entities and each one's bit in the
+    assignment word, for a sweep of all 2^n assignments; the cap
+    IMPLIES_VARS (see caps.py) keeps that sweep explicit."""
+    variables = sorted(
+        reduce(lambda a, b: a | b, map(_entity_variables, entities), frozenset())
+    )
+    cap = get_cap("IMPLIES_VARS")
+    if len(variables) > cap:
+        raise TooManyVariablesError(
+            f"{len(variables)} variables exceed brute-force cap {cap}"
+        )
+    return variables, {v: i for i, v in enumerate(variables)}
+
+
 def implication_counterexample(premises, conclusions):
     """An assignment satisfying all premises and falsifying some conclusion,
     or None if the premises imply every conclusion.
@@ -503,15 +518,7 @@ def implication_counterexample(premises, conclusions):
     """
     premises = _normalize_side(premises)
     conclusions = _normalize_side(conclusions)
-    variables = sorted(
-        reduce(lambda a, b: a | b, (_entity_variables(e) for e in premises + conclusions), frozenset())
-    )
-    cap = get_cap("IMPLIES_VARS")
-    if len(variables) > cap:
-        raise TooManyVariablesError(
-            f"{len(variables)} variables exceed brute-force cap {cap}"
-        )
-    var_bit = {v: i for i, v in enumerate(variables)}
+    variables, var_bit = _swept_variables(premises + conclusions)
     prem_rows = [_as_rows(e, var_bit) for e in premises]
     conc_rows = [_as_rows(e, var_bit) for e in conclusions]
 

@@ -5,7 +5,11 @@ desk scale.
 A set of k-DNFs minimally implies G when it implies G but replacing any
 single term by any proper subterm (the empty term included) breaks the
 implication.  Shrinking a term only weakens it, so checking the maximal
-proper subterms (one literal removed) suffices.  For 1-DNF sets the notion
+proper subterms (one literal removed) suffices.  Shrinking term t of
+formula i to t' adds exactly the models of t' to formula i, so once the set
+implies G the shrink breaks the implication iff some assignment satisfies
+t' and every other formula but falsifies G: one sweep of the cube answers
+every shrink at once (``accel.minimality_sweep``).  For 1-DNF sets the notion
 coincides with clause-deletion minimality of the corresponding CNF.
 """
 
@@ -25,30 +29,27 @@ from .logic import (
     KDnfFormula,
     Term,
     _as_rows,
+    _row,
+    _swept_variables,
     all_clauses_over,
-    implies,
 )
-
-
-def _with_term_replaced(formula: KDnfFormula, old: Term, new: Term) -> KDnfFormula:
-    terms = [t for t in formula.terms if t != old] + [new]
-    return KDnfFormula(terms, k=formula.k)
 
 
 def minimally_implies(formulas, goal) -> bool:
     """True iff the set implies the goal and every single-term shrink stops
     implying it."""
     formulas = list(formulas)
-    if not implies(formulas, [goal]):
-        return False
-    for i, d in enumerate(formulas):
-        for t in d.terms:
-            for lit in t.lits:
-                shrunk = list(formulas)
-                shrunk[i] = _with_term_replaced(d, t, t.without(lit))
-                if implies(shrunk, [goal]):
-                    return False
-    return True
+    _, var_bit = _swept_variables(formulas + [goal])
+    shrinks = [
+        [_row(t.without(lit).lits, var_bit) for t in d.terms for lit in t.lits]
+        for d in formulas
+    ]
+    return accel.minimality_sweep(
+        len(var_bit),
+        [_as_rows(d, var_bit) for d in formulas],
+        _as_rows(goal, var_bit),
+        shrinks,
+    )
 
 
 def is_minimally_unsatisfiable(formulas) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 
 from resspace.boolfunc import BooleanFunction, SubstitutionVarMap
-from resspace.logic import KDnfFormula, Term, assignment_from_bits
+from resspace.logic import KDnfFormula, Term, assignment_from_bits, implies
 from resspace.minimal import _gap_free_mask
 
 
@@ -151,3 +151,28 @@ def cover_dfs(masks, npoints, max_cubes, visit):
             tried.append(c)
 
     rec(0, 0, [], frozenset())
+
+
+# The minimality checker as it was before one sweep answered every shrink:
+# one implication sweep for the set and one per single-literal shrink.
+
+
+def _with_term_replaced(formula: KDnfFormula, old: Term, new: Term) -> KDnfFormula:
+    terms = [t for t in formula.terms if t != old] + [new]
+    return KDnfFormula(terms, k=formula.k)
+
+
+def minimally_implies(formulas, goal) -> bool:
+    """True iff the set implies the goal and every single-term shrink stops
+    implying it."""
+    formulas = list(formulas)
+    if not implies(formulas, [goal]):
+        return False
+    for i, d in enumerate(formulas):
+        for t in d.terms:
+            for lit in t.lits:
+                shrunk = list(formulas)
+                shrunk[i] = _with_term_replaced(d, t, t.without(lit))
+                if implies(shrunk, [goal]):
+                    return False
+    return True

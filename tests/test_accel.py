@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resspace import accel
 from resspace.errors import CapExceededError
@@ -29,7 +31,7 @@ from resspace.minimal import (
     _var_mask,
     is_minimally_unsatisfiable,
 )
-from reference import all_assignments, cover_dfs
+from reference import all_assignments, cover_dfs, minimally_implies
 
 
 def _random_entities(rng, nv):
@@ -78,6 +80,36 @@ def test_sat_mask_agrees_with_evaluate(nv):
         got = accel.sat_mask(a, *_as_rows(e, var_bit))
         assert got.dtype == bool and got.shape == a.shape
         assert got.tolist() == [evaluate(e, alpha) for alpha in alphas], e
+
+
+_LITS = st.lists(st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v))), max_size=5)
+
+
+@st.composite
+def _entities_over_six_vars(draw):
+    """A clause, term, CNF or k-DNF over at most 6 variables, and the
+    variable count; clauses and terms may be trivial (a complementary pair),
+    and CNFs keep their tautological clauses."""
+    entity = draw(
+        st.one_of(
+            _LITS.map(Clause),
+            _LITS.map(Term),
+            st.lists(_LITS, max_size=4).map(lambda cs: CnfFormula(cs, keep_trivial=True)),
+            st.lists(_LITS, max_size=4).map(lambda ts: KDnfFormula(ts, k=5)),
+        )
+    )
+    nv = draw(st.integers(max(entity.variables(), default=0), 6))
+    return entity, nv
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(_entities_over_six_vars())
+def test_sat_mask_agrees_with_evaluate_on_drawn_entities(drawn):
+    entity, nv = drawn
+    a = np.arange(1 << nv, dtype=np.int64)
+    got = accel.sat_mask(a, *_as_rows(entity, {v: v - 1 for v in range(1, nv + 1)}))
+    alphas = all_assignments(range(1, nv + 1))
+    assert got.tolist() == [evaluate(entity, alpha) for alpha in alphas]
 
 
 def _term_mask_by_loop(term, max_vars):
@@ -245,15 +277,20 @@ def test_kdnf_scan_matches_definition():
 
     got = _kdnf_scan(sats, var_masks, req_masks, 3, full)
 
+    # the one-sweep checker also agrees with the shrink-by-shrink loop on
+    # every gap-free pair and triple
     want = []
     for size in (2, 3):
         for idxs in itertools.combinations(range(len(formulas)), size):
             vm = 0
             for i in idxs:
                 vm |= var_masks[i]
-            if _gap_free_mask(vm) and is_minimally_unsatisfiable(
-                [formulas[i][0] for i in idxs]
-            ):
+            if not _gap_free_mask(vm):
+                continue
+            subset = [formulas[i][0] for i in idxs]
+            verdict = is_minimally_unsatisfiable(subset)
+            assert verdict == minimally_implies(subset, EMPTY_DNF), idxs
+            if verdict:
                 want.append(idxs)
     assert want
     assert sorted(got) == sorted(want)

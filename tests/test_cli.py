@@ -95,6 +95,12 @@ def test_pipeline_ok(capsys):
     assert "space bound" in out
 
 
+def test_pipeline_with_seventeen_formula_boards(capsys):
+    # its refutation's boards hold up to 17 formulas, projected in subset mode
+    assert run(["pipeline", "--graph", "pyramid:2", "--f", "maj:3"]) == 0
+    assert "pipeline ok" in capsys.readouterr().out
+
+
 def test_pipeline_identity(capsys):
     assert run(["pipeline", "--graph", "path:2", "--f", "identity"]) == 0
 
@@ -178,9 +184,29 @@ def test_tradeoff_deterministic(tmp_path):
 
 def test_minunsat_check(tmp_path, capsys):
     f = tmp_path / "set.kdnf"
-    assert run(["minunsat", "--construct", "2:1", "--out", str(f)]) == 0
+    assert run(["minunsat", "--construct", "3:2", "--out", str(f)]) == 0
+    capsys.readouterr()
     assert run(["minunsat", "--check", str(f)]) == 0
-    assert "minimally-unsatisfiable" in capsys.readouterr().out
+    assert _sha256(capsys.readouterr().out) == (
+        "21c0cfe0435fd5a8e3883240f8ffd24be6e69ecf440e20709398c1523f55181b"
+    )
+    # the paper's eq22 set, unsatisfiable but not minimally
+    f.write_text("p kdnf k=2 m=2\n1\n-1^2|-1^3\n")
+    assert run(["minunsat", "--check", str(f)]) == 1
+    assert _sha256(capsys.readouterr().out) == (
+        "d4d155da9401628cc7a77b632fcca4ee42b6c3ddd83a12f818278465aa7af3e8"
+    )
+
+
+def test_minunsat_check_over_the_variable_cap_exits_3(tmp_path, capsys):
+    f = tmp_path / "set.kdnf"
+    f.write_text("p kdnf k=1 m=2\n" + "|".join(map(str, range(1, 26))) + "\n-1\n")
+    assert run(["minunsat", "--check", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error [TOO_MANY_VARIABLES]: 25 variables exceed brute-force cap 24\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resspace.errors import FormatError, InvalidParamError
+from resspace.errors import (
+    CycleError,
+    FormatError,
+    IndegreeExceededError,
+    InvalidParamError,
+    MultipleSinksError,
+)
 from resspace.formats import (
     RULE_NAMES,
     clause_from_text,
@@ -198,8 +204,6 @@ def test_bad_substitution_comment_is_a_format_error():
 
 
 def test_graph_file_is_validated():
-    from resspace.errors import CycleError
-
     with pytest.raises(CycleError, match="self-loop"):
         graph_from_text("e 1 1\n")
     with pytest.raises(CycleError, match="cycle"):
@@ -305,3 +309,51 @@ def test_graph_round_trips(spec):
     # the format carries the vertex count and the edges, not the family
     # name or its indegree bound
     assert (back.n, back.edges) == (g.n, g.edges)
+
+
+# --- arbitrary text either parses or raises a documented error -------------
+
+_TOKENS = st.one_of(
+    st.sampled_from(
+        "p c cnf kdnf proof k=1 k=2 m=1 m=2 mode=syntactic mode=semantic a i e "
+        "cut andi ande weak sem : F pb rb pw rw n=3 sink=3 0 substitution f=xor "
+        "d=2 base_vars=3 ^ | 1^2 -1|2 =".split()
+    ),
+    st.integers(-4, 4).map(str),
+    st.text(max_size=3),
+)
+_TEXTS = st.one_of(
+    st.text(),
+    st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=6).map("\n".join),
+)
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda text: dnf_from_text(text, 2),
+        clause_from_text,
+        cnf_from_dimacs,
+        lambda text: parse_substitution_comment(text.splitlines()),
+        _proof_from_text,
+        pebbling_from_text,
+        graph_from_text,
+        kdnf_set_from_text,
+    ],
+    ids=["dnf", "clause", "dimacs", "substitution", "proof", "pebbling", "graph", "kdnf_set"],
+)
+def test_arbitrary_text_parses_or_raises_a_format_error(parse):
+    # graph_from_text also validates the graph it read
+    allowed = (FormatError,)
+    if parse is graph_from_text:
+        allowed += (InvalidParamError, MultipleSinksError, CycleError, IndegreeExceededError)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(_TEXTS)
+    def check(text):
+        try:
+            parse(text)
+        except allowed:
+            pass
+
+    check()

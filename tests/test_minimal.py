@@ -1,9 +1,13 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resspace.errors import CapExceededError, InvalidParamError
+import reference
+from resspace.errors import CapExceededError, InvalidParamError, TooManyVariablesError
 from resspace.logic import (
     EMPTY_DNF,
     Clause,
@@ -318,3 +322,156 @@ def test_enumeration_caps():
         list(enumerate_min_unsat(2, 4, 4, max_terms=2))
     with pytest.raises(CapExceededError):
         list(enumerate_min_unsat(2, 4, 2, max_terms=9))
+
+
+# --- the one-sweep checker against the shrink-by-shrink reference ----------
+
+SWEEP = settings(deadline=None, derandomize=True, database=None, max_examples=300)
+GOAL_KINDS = (Clause, Term, KDnfFormula, CnfFormula)
+
+
+@functools.cache
+def _known_minimal_sets():
+    """Minimally unsatisfiable sets to perturb: the enumerated 2-DNF sets
+    and small block instances."""
+    sets = [list(s) for s in enumerate_min_unsat(2, 3, 3, 2)]
+    sets += [block_substituted_min_unsat(k, n) for k, n in [(1, 2), (1, 3), (2, 1), (2, 2)]]
+    return sets
+
+
+def _negation(formula, kind):
+    """A goal of the given kind equivalent to the negation of the k-DNF, or
+    None when that kind cannot express it."""
+    clauses = [Clause([-l for l in t.lits]) for t in formula.terms]
+    if kind is CnfFormula:
+        return CnfFormula(clauses)
+    if kind is Term:
+        if all(len(c) == 1 for c in clauses):
+            return Term([c.lits[0] for c in clauses])
+        return None
+    if len(clauses) != 1:
+        return None
+    return clauses[0] if kind is Clause else KDnfFormula.from_clause(clauses[0])
+
+
+@st.composite
+def _goal_cases(draw):
+    """(formulas, goal): a known minimal set, perhaps with one formula F
+    taken out and a goal equivalent to not F (the rest minimally implies
+    it) or a drawn goal of some kind, then perhaps perturbed by adding a
+    term or a formula, shrinking a term or dropping a formula."""
+    formulas = list(draw(st.sampled_from(_known_minimal_sets())))
+    k = max(f.k for f in formulas)
+    nv = max(max(f.variables(), default=0) for f in formulas) + 1
+    lit = st.integers(1, nv).flatmap(lambda v: st.sampled_from((v, -v)))
+    term = st.lists(lit, min_size=1, max_size=k).map(Term)
+
+    goal = EMPTY_DNF
+    kind = draw(st.sampled_from((None,) + GOAL_KINDS))
+    if kind is not None:
+        i = draw(st.integers(0, len(formulas) - 1))
+        goal = _negation(formulas.pop(i), kind)
+        if goal is None or draw(st.integers(0, 3)) == 0:
+            goal = {
+                Clause: st.lists(lit, max_size=3).map(Clause),
+                Term: st.lists(lit, max_size=3).map(Term),
+                KDnfFormula: st.lists(term, max_size=3).map(
+                    lambda ts: KDnfFormula(ts, k=k)
+                ),
+                CnfFormula: st.lists(st.lists(lit, max_size=3), max_size=3).map(
+                    CnfFormula
+                ),
+            }[kind]
+            goal = draw(goal)
+
+    change = draw(st.sampled_from(("none", "add term", "add formula", "shrink", "drop")))
+    if formulas and change != "none":
+        i = draw(st.integers(0, len(formulas) - 1))
+        f = formulas[i]
+        if change == "add term":
+            formulas[i] = KDnfFormula(f.terms + (draw(term),), k=f.k)
+        elif change == "add formula":
+            formulas.insert(i, KDnfFormula(draw(st.lists(term, max_size=3)), k=k))
+        elif change == "shrink" and f.terms:
+            t = draw(st.sampled_from(f.terms))
+            shrunk = t.without(draw(st.sampled_from(t.lits)))
+            formulas[i] = KDnfFormula([u for u in f.terms if u != t] + [shrunk], k=f.k)
+        elif change == "drop":
+            del formulas[i]
+    return formulas, goal
+
+
+def test_minimally_implies_matches_reference_on_drawn_sets_and_goals():
+    verdicts = set()
+
+    @SWEEP
+    @given(_goal_cases())
+    def check(case):
+        formulas, goal = case
+        got = minimally_implies(formulas, goal)
+        assert got == reference.minimally_implies(formulas, goal)
+        verdicts.add((type(goal), got))
+
+    check()
+    for kind in GOAL_KINDS:
+        assert {(kind, True), (kind, False)} <= verdicts, kind
+
+
+def test_minimally_implies_matches_reference_on_criterion_10_sets():
+    # every block (k, n) of criterion 10, block 3,2 and the non-minimal
+    # eq22 set of the paper
+    eq22 = [
+        KDnfFormula([Term([1])], k=2),
+        KDnfFormula([Term([-1, 2]), Term([-1, 3])], k=2),
+    ]
+    cases = [block_substituted_min_unsat(k, n) for k, n in [(2, 1), (2, 2), (3, 1), (3, 2)]]
+    for formulas in cases + [eq22]:
+        want = reference.minimally_implies(formulas, EMPTY_DNF)
+        assert want == (formulas is not eq22)
+        assert is_minimally_unsatisfiable(formulas) == want
+
+
+@pytest.mark.parametrize(
+    "formulas, goal, want",
+    [
+        ([], EMPTY_DNF, False),  # the empty set is satisfiable
+        ([], CnfFormula(), True),  # and implies true, with nothing to shrink
+        ([EMPTY_DNF], EMPTY_DNF, True),
+        ([EMPTY_DNF, KDnfFormula([Term([1])])], EMPTY_DNF, False),
+        # width-1 terms shrink to the empty term, making their formula true
+        (clauses_as_set([[1], [-1]]), EMPTY_DNF, True),
+        (clauses_as_set([[1], [-1], [2]]), EMPTY_DNF, False),
+        (clauses_as_set([[1, 2]]), EMPTY_DNF, False),  # not implied
+        (clauses_as_set([[1]]), Clause([1, 2]), True),
+        ([KDnfFormula([Term([1, 2])], k=2)], Clause([1]), False),  # x^y -> x stays
+        (clauses_as_set([[1]]), Term([1]), True),
+        (clauses_as_set([[1], [2]]), Term([1]), False),
+        (clauses_as_set([[1], [-1, 2]]), 2, True),  # a literal goal
+    ],
+)
+def test_minimally_implies_edge_cases(formulas, goal, want):
+    assert minimally_implies(formulas, goal) == want
+    assert reference.minimally_implies(formulas, goal) == want
+
+
+def test_minimality_sweep_spans_chunks():
+    # 19 variables make two chunks of 2^18 words.  Shrinking the last unit
+    # formula, ~x19, is broken only by x19 alone, the first word of the
+    # second chunk; without that formula the set's one model is that word.
+    s = block_substituted_min_unsat(1, 19)
+    assert is_minimally_unsatisfiable(s)
+    assert not is_minimally_unsatisfiable(s[:-1])
+    assert not is_minimally_unsatisfiable(s + clauses_as_set([[1, 19]]))
+
+
+def test_minimality_cap_raises_the_implication_message():
+    over = [KDnfFormula.from_clause(Clause(range(1, 26))), KDnfFormula([Term([-1])])]
+    with pytest.raises(TooManyVariablesError) as ref:
+        reference.minimally_implies(over, EMPTY_DNF)
+    assert str(ref.value) == "25 variables exceed brute-force cap 24"
+    with pytest.raises(TooManyVariablesError, match=f"^{ref.value}$"):
+        is_minimally_unsatisfiable(over)
+    with pytest.raises(TooManyVariablesError, match=f"^{ref.value}$"):
+        minimally_implies(over[:1], Clause([-1]))
+    with pytest.raises(TooManyVariablesError, match=f"^{ref.value}$"):
+        minimally_implies(over[1:], Clause(range(2, 26)))
