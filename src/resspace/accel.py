@@ -1,16 +1,16 @@
 """Hot numeric kernels, each with one numpy/Python implementation.
 
-Four inner loops dominate the package's runtime: the satisfaction kernel
+Five inner loops dominate the package's runtime: the satisfaction kernel
 ``sat_mask`` that every brute-force oracle shares (which assignment words
 satisfy a formula as ``logic._as_rows`` encodes it, swept over all 2^n
 words in chunks by the implication oracle and the minimality sweep, over a
 configuration's substituted assignments by projection, over the cube by
 the min-unsat masks), the minimality sweep that answers every
-single-literal shrink of a k-DNF set in one pass over the cube, one
-breadth-first search over black or black-white pebbling configurations
-encoded as bit masks (vectorized over each BFS level), and the DFS that
-walks irredundant subcube covers (minimally unsatisfiable CNFs), which
-both the cover enumeration and the cover scan visit.
+single-literal shrink of a k-DNF set in one pass over the cube, the
+breadth-first searches over black and over black-white pebbling
+configurations encoded as bit masks, and the DFS that walks irredundant
+subcube covers (minimally unsatisfiable CNFs), which both the cover
+enumeration and the cover scan visit.
 
 The minimality sweep computes each formula's mask once per chunk and
 tests each shrink's term only on the words where the other formulas hold
@@ -26,16 +26,25 @@ cover.  ``scan_min_unsat_cnf(4, 7)`` visits 659,314 covers in 0.66 s; the
 walk that built a set of forbidden candidates at every node and had no
 last-slot test took 1.28 s.
 
-The two pebble games run one BFS level loop, ``_level_bfs``: it allocates
-the arrays and the visited set, records parents and moves, and decides
-FOUND and OVERFLOW.  A game supplies only its expansion, the order in which
-a level's successors are discovered, and that order fixes the game's
-witnesses.  The black search expands a whole level one move at a time
-(move-major).  Run in source-major order it returns other witnesses (on 21
-of the 30 budgets of pyramid:4 and binary_tree:3) and was slower when
-measured: its pyramid:5 sweep took 9.0 s instead of 2.4 s.  The black-white search
-expands one source state at a time (source-major), the order of the
-frozenset BFS it replaced, in chunks of sources.  It drops visited
+The two pebble games run one level-synchronous BFS each, and a game's
+discovery order fixes its witnesses.  The black search holds each level
+as a bit set over all 2^n configurations, so one word operation moves 64
+of them: a level is the OR of the 2n moves applied to the one before,
+minus the visited set.  It records no parents.  The witness is walked back
+from the target, each step taking the smallest move code from a
+configuration one level down: the parent that the move-major order (one
+move at a time over the whole level) records.  Run in source-major order,
+the black search returns other witnesses (on 21 of the 30 budgets of
+pyramid:4 and binary_tree:3).  The visited count at the target is the
+levels below it plus the target's rank in its own level.  The working set
+is one mask per vertex and move direction plus a few level-sized sets, 13
+MB at pyramid:5's largest budget, where the move-major loop over lists of
+states took 58 MB.  The pyramid:5 sweep over all 21 budgets takes 1.2-1.4
+s instead of 4.0-4.7 s.  A level costs about 1.5 ms at pyramid:5 however
+few configurations it holds, so the price search there takes 0.26-0.35 s
+instead of 0.09-0.10 s.  The black-white search has 3^n keys and expands one source
+state at a time (source-major), the order of the frozenset BFS it
+replaced, in chunks of sources, recording parents.  It drops visited
 successors before ``np.unique``; deduplicating first made its pyramid:3
 sweep 45 % slower (0.10 s to 0.146 s).  Times on 2 cores, Python 3.11,
 numpy 2.4.
@@ -143,82 +152,233 @@ def minimality_sweep(nvars, formulas, goal, shrinks):
 
 # ---------------------------------------------------------------------------
 # pebbling BFS over bit-mask configurations
-#
-# One level-synchronous loop runs both games.  A game supplies its expansion:
-# given a level's states and the visited set, it yields batches (succ, src,
-# move, key) of fresh, distinct successors in the game's discovery order,
-# with each successor's source index within the level, its move code and its
-# visited-set key.  The loop records each batch up to the target and marks it
-# visited before the next batch is made, so later batches see it.
 
 FOUND, EXHAUSTED, OVERFLOW = 0, 1, 2
 
-def _level_bfs(expand, nstates, target, state_cap):
-    """BFS from state 0 (visited-set key 0) over what ``expand`` reaches,
-    with a visited set of ``nstates`` keys.
+# A set of black configurations is a uint64 array of 2^max(n, 6) / 64 words:
+# configuration x (bit v set iff vertex v + 1 holds a pebble) is bit x & 63
+# of word x >> 6.  A move on vertex v < 6 shifts every word by 2^v under an
+# in-word mask; a move on v >= 6 shifts whole words by k = 2^(v - 6), as
+# contiguous slices (strided (-1, 2, k) views took up to 9x as long at small
+# k).  A placement's sources are masked by one word array per vertex (every
+# predecessor pebbled, v empty, fewer than space_cap pebbles), a removal's
+# by "v pebbled".
 
-    Returns (status, states, parents, moves, target_index); the witness is
-    reconstructed by following parents back from target_index.  OVERFLOW is
-    returned as soon as more than ``state_cap`` states, the empty one and the
-    target included, have been discovered.
-    """
-    # One block, not three arrays: three separate 16 MB arrays (black
-    # pyramid:5) fall under glibc's adaptive mmap threshold, and the
-    # exhaustive benchmark's peak RSS grew by 29 %.
-    size = min(state_cap, nstates) + 1
-    states, parents, moves = np.empty((3, size), dtype=np.int64)
-    visited = np.zeros(nstates, dtype=bool)
-    states[0], parents[0], moves[0] = 0, -1, -1
-    visited[0] = True
-    count, lo, hi = 1, 0, 1
-    while lo < hi:
-        for succ, src, move, key in expand(states[lo:hi], visited):
-            if succ.size == 0:
-                continue
-            hit = np.flatnonzero(succ == target)
-            stop = int(hit[0]) + 1 if hit.size else succ.size
-            if count + stop > state_cap:
-                return OVERFLOW, states[:count], parents[:count], moves[:count], -1
-            new = slice(count, count + stop)
-            visited[key[:stop]] = True
-            states[new] = succ[:stop]
-            parents[new] = lo + src[:stop]
-            moves[new] = move[:stop]
-            count += stop
-            if hit.size:
-                return FOUND, states[:count], parents[:count], moves[:count], count - 1
-        lo, hi = hi, count
-    return EXHAUSTED, states[:count], parents[:count], moves[:count], -1
+
+def _in_word(keep):
+    """The uint64 whose bit b is set iff keep(b), for the 64 positions b."""
+    return np.uint64(sum(1 << b for b in range(64) if keep(b)))
+
+
+_ONES = ~np.uint64(0)
+# positions with bit v clear (v < 6); positions with fewer than j one bits
+_IN_CLEAR = [_in_word(lambda b, v=v: not b >> v & 1) for v in range(6)]
+_IN_FEWER = np.array(
+    [_in_word(lambda b, j=j: b.bit_count() < j) for j in range(8)], dtype=np.uint64
+)
+
+
+class _BlackMoves:
+    """The 2n moves of one black search as word operations on sets."""
+
+    def __init__(self, n, pred_masks, space_cap):
+        self.n = n
+        self.words = max(1 << n, 64) >> 6
+        index = np.arange(self.words, dtype=np.int64)
+        # a configuration's pebble count is its word index's popcount plus
+        # its position's, so "fewer than space_cap" is one of 8 in-word masks;
+        # a budget past n allows as much as n, and the subtraction is signed
+        # (bitwise_count returns uint8)
+        cap = min(max(space_cap, 0), n)
+        used = np.bitwise_count(index).astype(np.int64)
+        room = _IN_FEWER[np.clip(cap - used, 0, 7)]
+        self.place = np.empty((n, self.words), dtype=np.uint64)
+        self.drop = []  # vertex 6 + i: all ones on the words where it is pebbled
+        for v, preds in enumerate(pred_masks):
+            low, high = preds & 63, preds >> 6
+            in_word = _in_word(lambda b: b & low == low)
+            if v < 6:
+                in_word &= _IN_CLEAR[v]
+                need = high
+            else:
+                need = high | 1 << (v - 6)
+                self.drop.append(np.where(index & 1 << (v - 6), _ONES, np.uint64(0)))
+            np.bitwise_and(room, in_word, out=self.place[v])
+            self.place[v] *= index & need == high
+        self.tmp = np.empty(self.words, dtype=np.uint64)
+
+    def empty(self):
+        return np.zeros(self.words, dtype=np.uint64)
+
+    def apply(self, code, src, out):
+        """out |= the configurations that move ``code`` reaches from src."""
+        n, tmp = self.n, self.tmp
+        v = code % n
+        if code < n:  # x -> x + 2^v
+            if v < 6:
+                np.bitwise_and(src, self.place[v], out=tmp)
+                tmp <<= np.uint64(1 << v)
+                out |= tmp
+            else:
+                k = 1 << (v - 6)
+                np.bitwise_and(src[:-k], self.place[v, :-k], out=tmp[:-k])
+                out[k:] |= tmp[:-k]
+        elif v < 6:  # x -> x - 2^v
+            np.bitwise_and(src, ~_IN_CLEAR[v], out=tmp)
+            tmp >>= np.uint64(1 << v)
+            out |= tmp
+        else:
+            k = 1 << (v - 6)
+            np.bitwise_and(src[k:], self.drop[v - 6][k:], out=tmp[:-k])
+            out[:-k] |= tmp[:-k]
+
+    def undo(self, code, src, out):
+        """out = the configurations from which move ``code`` reaches src, for
+        src within the move's image."""
+        v = code % self.n
+        back = code >= self.n  # undoing a removal puts the pebble back
+        if v < 6:
+            shift = np.uint64(1 << v)
+            (np.left_shift if back else np.right_shift)(src, shift, out=out)
+            return
+        k = 1 << (v - 6)
+        out[:] = 0
+        if back:
+            out[k:] = src[:-k]
+        else:
+            out[:-k] = src[k:]
+
+
+def _popcount(words):
+    return int(np.bitwise_count(words).sum())
+
+
+def _has(words, x):
+    return int(words[x >> 6]) >> (x & 63) & 1
+
+
+class _Levels:
+    """BFS levels of the visited configurations, stored bit-sliced: plane j
+    holds the configurations whose level has bit j set.  A removal can have
+    no one-move inverse, so an in-neighbour of a level-d configuration may
+    lie at any level from d - 1 up; only the exact level tells the parents
+    apart."""
+
+    def __init__(self, start):
+        self.visited = start.copy()
+        self.planes = []
+
+    def add(self, depth, new):
+        self.visited |= new
+        if depth == 1 << len(self.planes):
+            self.planes.append(np.zeros_like(new))
+        for j, plane in enumerate(self.planes):
+            if depth >> j & 1:
+                plane |= new
+
+    def depth_of(self, x):
+        """x's level, or -1 if x was not visited."""
+        if not _has(self.visited, x):
+            return -1
+        return sum(_has(plane, x) << j for j, plane in enumerate(self.planes))
+
+    def level(self, depth):
+        out = self.visited.copy()
+        for j, plane in enumerate(self.planes):
+            out &= plane if depth >> j & 1 else ~plane
+        return out
 
 
 def black_bfs(n, pred_masks, target, space_cap, state_cap):
     """BFS from the empty configuration over configurations holding at most
-    ``space_cap`` pebbles.
+    ``space_cap`` pebbles, one bit-packed level at a time.
 
-    Returns (status, states, parents, moves, target_index) as _level_bfs
-    does.  Move codes: v places a black pebble on vertex v, n+v removes it.
+    Returns (status, visited, witness).  The move codes are v to place a
+    black pebble on vertex v and n + v to remove it.  The BFS is move-major:
+    a level's successors are discovered move code by move code, each over
+    the previous level in its discovery order.  ``visited`` is a range as
+    long as the configurations discovered when the search stops: every
+    level, on EXHAUSTED; the levels up to the target's and its own up to
+    the target, on FOUND; the levels below the one that exceeds
+    ``state_cap``, on OVERFLOW (the sparse move-major loop this replaced
+    also counted the part of that level it had expanded).  ``witness`` lists the move codes of the
+    path the BFS records to the target on FOUND, else it is None.
     """
-    preds = np.asarray(pred_masks, dtype=np.int64)
+    moves = _BlackMoves(n, pred_masks, space_cap)
+    level, nxt, unseen = moves.empty(), moves.empty(), moves.empty()
+    level[0] = 1  # the empty configuration
+    levels = _Levels(level)
+    count = depth = 1
+    while True:
+        nxt[:] = 0
+        for code in range(2 * n):
+            moves.apply(code, level, nxt)
+        nxt &= np.invert(levels.visited, out=unseen)
+        size = _popcount(nxt)
+        if size == 0:
+            return EXHAUSTED, range(count), None
+        levels.add(depth, nxt)
+        if _has(nxt, target):
+            witness = _walk_back(moves, levels, target, depth)
+            total = count + _rank(moves, levels, nxt, witness) + 1
+            if total > state_cap:
+                return OVERFLOW, range(count), None
+            return FOUND, range(total), witness
+        if count + size > state_cap:
+            return OVERFLOW, range(count), None
+        count += size
+        depth += 1
+        level, nxt = nxt, level
 
-    def expand(level, visited):
-        # move-major: one batch per move (place on vertex 0..n-1, then remove
-        # from vertex 0..n-1) over the whole level; a move maps distinct
-        # states to distinct states
-        room = np.bitwise_count(level) < space_cap
-        for mv in range(2 * n):
-            v = mv % n
-            bit = np.int64(1) << v
-            if mv < n:  # room left, v empty and every predecessor pebbled
-                ok = room & ((level & (bit | preds[v])) == preds[v])
-            else:
-                ok = (level & bit) != 0
-            src = np.flatnonzero(ok)
-            succ = level[src] ^ bit
-            fresh = ~visited[succ]
-            succ, src = succ[fresh], src[fresh]
-            yield succ, src, np.full(succ.size, mv), succ
 
-    return _level_bfs(expand, 1 << n, target, state_cap)
+def _walk_back(moves, levels, target, depth):
+    """The move codes of the path the move-major BFS records to the target:
+    each configuration's parent is the one a level down from which the
+    smallest move code reaches it."""
+    n, codes, y = moves.n, [], target
+    for d in range(depth - 1, -1, -1):
+        for code in range(2 * n):
+            v = code % n
+            x = y ^ (1 << v)
+            if not (_has(moves.place[v], x) if code < n else x > y):
+                continue
+            if levels.depth_of(x) == d:
+                break
+        codes.append(code)
+        y = x
+    codes.reverse()
+    return codes
+
+
+def _rank(moves, levels, top, witness):
+    """How many configurations of the target's level the move-major BFS
+    discovers before the target.
+
+    A level's discovery order sorts its configurations by the code of the
+    move that first reaches them, then by the order of their parents one
+    level down.  ``tie`` holds the configurations of level d that the
+    target's moves above level d lead to configurations of the target's
+    level not yet ordered against it: the ones a smaller move code reaches
+    come before the target, and those the target's own move reaches are
+    followed to their parents.
+    """
+    tie, ahead, rest = top.copy(), moves.empty(), moves.empty()
+    count = 0
+    for d in range(len(witness), 0, -1):
+        if _popcount(tie) == 1:  # only the target's ancestor is left
+            break
+        code, below = witness[d - 1], levels.level(d - 1)
+        ahead[:] = 0
+        for c in range(code):
+            moves.apply(c, below, ahead)
+        ahead &= tie
+        count += _popcount(ahead)
+        rest[:] = 0
+        moves.apply(code, below, rest)
+        rest &= tie
+        rest &= ~ahead
+        moves.undo(code, rest, tie)
+    return count
 
 
 # A black-white state is one int64, black | white << n.  Its visited-set key
@@ -240,21 +400,33 @@ def bw_bfs(n, pred_masks, target, space_cap, state_cap):
     """BFS from the empty configuration over black-white configurations
     holding at most ``space_cap`` pebbles.
 
-    Same return shape as black_bfs.  Move codes: kind * n + v for the kinds
-    pb, rb, pw, rw on vertex v.
+    Returns (status, visited, witness) as black_bfs does.  Move codes: kind *
+    n + v for the kinds pb, rb, pw, rw on vertex v.  The BFS is source-major,
+    the order of the frozenset BFS it replaced: each source in turn, each by
+    move code, keeping a successor's first occurrence.  Chunks of sources
+    keep that order and bound the working set.  OVERFLOW is returned as soon
+    as more than ``state_cap`` states, the empty one and the target included,
+    have been discovered.
     """
     full = (1 << n) - 1
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     wbits = bits << n
     preds = np.asarray(pred_masks, dtype=np.int64)
     base3 = _base3_table(n)
-
-    def expand(level, visited):
-        # source-major: each source in turn, each by move code kind * n + v,
-        # keeping a successor's first occurrence; chunks of sources keep that
-        # order and bound the working set
-        for start in range(0, level.size, _BW_CHUNK):
-            src = level[start : start + _BW_CHUNK, None]
+    # One block, not three arrays: np.empty leaves its pages untouched, so
+    # only the discovered prefix costs memory.  Three separate 16 MB arrays
+    # (when this loop also ran the black search, at pyramid:5) fell under
+    # glibc's adaptive mmap threshold, and the benchmark's peak RSS grew by
+    # 29 %.
+    size = min(state_cap, 3**n) + 1
+    states, parents, codes = np.empty((3, size), dtype=np.int64)
+    visited = np.zeros(3**n, dtype=bool)
+    states[0], parents[0], codes[0] = 0, -1, -1
+    visited[0] = True
+    count, lo, hi = 1, 0, 1
+    while lo < hi:
+        for start in range(lo, hi, _BW_CHUNK):
+            src = states[start : min(start + _BW_CHUNK, hi), None]
             black, white = src & full, src >> n
             on = black | white
             room = np.bitwise_count(on) < space_cap
@@ -274,15 +446,33 @@ def bw_bfs(n, pred_masks, target, space_cap, state_cap):
             )
             cand = np.flatnonzero(ok)
             succ = succ.ravel()[cand]
-            codes = base3[succ & full] + 2 * base3[succ >> n]
+            keys = base3[succ & full] + 2 * base3[succ >> n]
             # the visited filter first: it shrinks what np.unique sorts
-            fresh = ~visited[codes]
-            cand, succ, codes = cand[fresh], succ[fresh], codes[fresh]
-            first = np.sort(np.unique(codes, return_index=True)[1])
-            cand = cand[first]
-            yield succ[first], start + cand // (4 * n), cand % (4 * n), codes[first]
-
-    return _level_bfs(expand, 3**n, target, state_cap)
+            fresh = ~visited[keys]
+            cand, succ, keys = cand[fresh], succ[fresh], keys[fresh]
+            first = np.sort(np.unique(keys, return_index=True)[1])
+            if first.size == 0:
+                continue
+            cand, succ = cand[first], succ[first]
+            hit = np.flatnonzero(succ == target)
+            stop = int(hit[0]) + 1 if hit.size else succ.size
+            if count + stop > state_cap:
+                return OVERFLOW, range(count), None
+            new = slice(count, count + stop)
+            visited[keys[first[:stop]]] = True
+            states[new] = succ[:stop]
+            parents[new] = start + cand[:stop] // (4 * n)
+            codes[new] = cand[:stop] % (4 * n)
+            count += stop
+            if hit.size:
+                witness, i = [], count - 1
+                while parents[i] >= 0:
+                    witness.append(int(codes[i]))
+                    i = int(parents[i])
+                witness.reverse()
+                return FOUND, range(count), witness
+        lo, hi = hi, count
+    return EXHAUSTED, range(count), None
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,7 @@ def graph_from_text(text: str):
     second sink MultipleSinksError, an indegree above the bound
     IndegreeExceededError.  The vertex count is the one on the ``c n=<n>``
     line graph_to_text writes, or else the largest edge endpoint."""
-    from .graphs import Dag, validate_dag
+    from .graphs import dag_from_edges
 
     edges = []
     declared = None
@@ -316,9 +316,7 @@ def graph_from_text(text: str):
             raise _line_error(n, line, e) from None
         edges.append((u, v))
         mx = max(mx, u, v)
-    dag = Dag(n=mx if declared is None else declared, edges=tuple(edges))
-    validate_dag(dag)
-    return dag
+    return dag_from_edges(mx if declared is None else declared, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -63,16 +63,30 @@ class Dag:
         succs = self._succs
         sinks = [v for v in range(1, self.n + 1) if not succs[v]]
         if len(sinks) != 1:
-            raise MultipleSinksError(f"expected one sink, found {sinks}")
+            raise _sinks_error(sinks, len(sinks))
         return sinks[0]
 
     def indegree(self, v: int) -> int:
         return len(self.predecessors(v))
 
 
+def _sinks_error(sinks, count):
+    """The error for a graph with ``count`` sinks, the first ones ``sinks``;
+    the message lists at most 10 of them."""
+    shown = ", ".join(map(str, sinks[:10])) + (", ..." if count > 10 else "")
+    return MultipleSinksError(f"expected one sink, found {count}: [{shown}]")
+
+
 def validate_dag(dag: Dag):
     """Check acyclicity, unique sink, indegree bound; returns the
     deterministic topological order (lowest id first among ready vertices)."""
+    order = _validate_edges(dag)
+    dag.sink  # raises MultipleSinksError when not unique
+    return order
+
+
+def _validate_edges(dag: Dag):
+    """validate_dag without the sink check."""
     if dag.n < 1:
         raise InvalidParamError("graph needs at least one vertex")
     for u, v in dag.edges:
@@ -85,9 +99,27 @@ def validate_dag(dag: Dag):
             raise IndegreeExceededError(
                 f"vertex {v} has indegree {dag.indegree(v)} > {dag.max_indegree}"
             )
-    order = topological_order(dag)
-    dag.sink  # raises MultipleSinksError when not unique
-    return order
+    return topological_order(dag)
+
+
+def dag_from_edges(n: int, edges) -> Dag:
+    """The validated DAG on vertices 1..n with these edges.
+
+    Every vertex past the largest edge endpoint is an isolated sink.  The
+    graph the edges span is checked as validate_dag checks the n-vertex
+    one, with the same errors in the same order; if n is larger, the
+    MultipleSinksError follows without building the n-vertex graph.
+    """
+    edges = tuple(edges)
+    span = max((max(e) for e in edges), default=1)
+    dag = Dag(n=min(n, max(span, 1)), edges=edges)
+    _validate_edges(dag)
+    if n == dag.n:
+        dag.sink  # raises MultipleSinksError when not unique
+        return dag
+    inner = [v for v in range(1, dag.n + 1) if not dag.successors(v)]
+    extra = range(dag.n + 1, n + 1)
+    raise _sinks_error(inner + list(extra[:10]), len(inner) + len(extra))
 
 
 def topological_order(dag: Dag) -> tuple[int, ...]:

@@ -144,6 +144,9 @@ def trivial_black_pebbling(dag: Dag) -> tuple[Move, ...]:
 
 # mode -> (vertex cap, game name, accel kernel).  The kernel is looked up by
 # name at call time, so a wrapper installed on the accel module is used.
+# Both kernels return (status, visited, witness move codes); the black one
+# walks its witness back from bit-set levels, the black-white one follows
+# recorded parents.
 _SEARCHES = {
     "black": ("BLACK_SEARCH_VERTICES", "black", "black_bfs"),
     "black_white": ("BW_SEARCH_VERTICES", "black-white", "bw_bfs"),
@@ -169,21 +172,14 @@ def _search(dag: Dag, space_cap: int, mode: str):
         for u in dag.predecessors(v):
             preds[v - 1] |= 1 << (u - 1)
     target = 1 << (dag.sink - 1)
-    status, states, parents, moves, end = getattr(accel, kernel)(
+    status, _, witness = getattr(accel, kernel)(
         n, preds, target, space_cap, get_cap("SEARCH_STATES")
     )
     if status == accel.OVERFLOW:
         raise StateSpaceExceededError("visited-state budget exhausted")
     if status == accel.EXHAUSTED:
         return False, None
-    out = []
-    i = end
-    while parents[i] >= 0:
-        kind, v = divmod(int(moves[i]), n)
-        out.append(Move(MOVE_KINDS[kind], v + 1))
-        i = int(parents[i])
-    out.reverse()
-    return True, tuple(out)
+    return True, tuple(Move(MOVE_KINDS[c // n], c % n + 1) for c in witness)
 
 
 def search_min_space(dag: Dag, mode: str = "black"):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from resspace import accel
+from resspace import accel, cli
 from resspace.cli import main
+from resspace.formats import graph_from_text
 
 
 def run(argv):
@@ -182,6 +183,15 @@ def test_tradeoff_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_tradeoff_output_pinned(tmp_path):
+    csv = tmp_path / "t.csv"
+    args = ["tradeoff", "--graph", "bit_reversal:2", "--f", "xor:2", "--space", "1:8"]
+    assert run(args + ["--out", str(csv)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "0b9a75f9cebd68ffc82d76d960e6c33e3e4ddeca8e612f824206d61cf6292522"
+    )
+
+
 def test_minunsat_check(tmp_path, capsys):
     f = tmp_path / "set.kdnf"
     assert run(["minunsat", "--construct", "3:2", "--out", str(f)]) == 0
@@ -251,6 +261,29 @@ def test_pebble_min_time(capsys):
         == 0
     )
     assert "min_time" in capsys.readouterr().out
+
+
+def test_pebble_min_time_output_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stdout names the --out path
+    args = ["pebble", "--graph", "pyramid:4", "--min-time-for-space", "6"]
+    assert run(args + ["--out", "p.moves"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "4233d01720fff2f7955ac24faa77040818fb95067c8e7cd09f3e1a79a7b695e0"
+    )
+    assert hashlib.sha256((tmp_path / "p.moves").read_bytes()).hexdigest() == (
+        "8074af6aeb2ffe989c21f8ba41bdbef55ebc3d45092b5c9ddf7258c75f7c17d9"
+    )
+
+
+def test_graph_with_many_sinks_exits_1(monkeypatch, capsys):
+    # no subcommand reads graph files, so the family builder is replaced by
+    # the reader of a file that declares a million vertices
+    text = "c n=1000000\ne 1 2\n"
+    monkeypatch.setattr(cli, "make_graph", lambda family, param: graph_from_text(text))
+    assert run(["pebble", "--graph", "path:2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [MULTIPLE_SINKS]: expected one sink, found 999999: ")
+    assert len(err) < 100
 
 
 def test_cap_exit_code():

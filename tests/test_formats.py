@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resspace import graphs
 from resspace.errors import (
     CycleError,
     FormatError,
@@ -28,7 +29,13 @@ from resspace.formats import (
     pebbling_to_text,
     substitution_comment,
 )
-from resspace.graphs import make_graph, path_graph, pyramid_graph, validate_dag
+from resspace.graphs import (
+    make_graph,
+    path_graph,
+    pyramid_graph,
+    topological_order,
+    validate_dag,
+)
 from resspace.logic import Clause, CnfFormula, KDnfFormula, Term
 from resspace.pebbling import MOVE_KINDS, Move
 from resspace.proofs import SEMANTIC, SYNTACTIC, AxiomDownload, Derivation, Erasure, Inference
@@ -208,6 +215,33 @@ def test_graph_file_is_validated():
         graph_from_text("e 1 1\n")
     with pytest.raises(CycleError, match="cycle"):
         graph_from_text("e 1 2\ne 2 3\ne 3 2\ne 3 4\n")
+
+
+def test_graph_with_a_huge_declared_n_fails_fast(monkeypatch):
+    # every vertex past the last edge endpoint is an isolated sink, so the
+    # reader checks only the graph the edges span
+    checked = []
+
+    def spy(dag):
+        checked.append(dag.n)
+        return topological_order(dag)
+
+    monkeypatch.setattr(graphs, "topological_order", spy)
+    with pytest.raises(MultipleSinksError) as info:
+        graph_from_text("c n=1000000\ne 1 2\n")
+    assert checked == [2]
+    assert str(info.value) == (
+        "expected one sink, found 999999: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...]"
+    )
+    with pytest.raises(MultipleSinksError, match=r"found 3: \[2, 3, 4\]$"):
+        graph_from_text("c n=4\ne 1 2\n")
+    # the graph the edges span is checked first, as for a small n
+    with pytest.raises(CycleError, match="self-loop"):
+        graph_from_text("c n=1000000\ne 1 2\ne 3 3\n")
+    with pytest.raises(IndegreeExceededError, match="vertex 3"):
+        graph_from_text("c n=1000000\ne 1 3\ne 2 3\ne 4 3\n")
+    with pytest.raises(CycleError, match="cycle"):
+        graph_from_text("c n=1000000\ne 1 2\ne 2 1\n")
 
 
 # --- round trips of every documented format on drawn values -----------------

@@ -1,4 +1,9 @@
+import hashlib
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resspace.caps import get_cap
 from resspace.errors import (
@@ -9,11 +14,13 @@ from resspace.errors import (
     StateSpaceExceededError,
 )
 from resspace.graphs import (
+    Dag,
     binary_tree_graph,
     bit_reversal_graph,
     make_graph,
     path_graph,
     pyramid_graph,
+    validate_dag,
 )
 from resspace.pebbling import (
     EMPTY_CONFIG,
@@ -421,3 +428,116 @@ def test_black_search_state_budget_matches_reference(name, monkeypatch):
                 g, s, cap, lambda g, s: _search(g, s, "black"), monkeypatch
             )
             assert got == want, (s, cap)
+
+
+# ---------------------------------------------------------------------------
+# both searches against their references on drawn DAGs
+
+
+@st.composite
+def _small_dags(draw):
+    """DAGs on up to 7 vertices, each vertex with up to two predecessors
+    among the lower ones, and a single sink.  Every vertex but the last
+    first gets one successor with a free slot, so no draw is filtered out
+    (assuming a single sink discarded four draws in five); then each vertex
+    may gain more predecessors."""
+    n = draw(st.integers(1, 7))
+    preds = {v: set() for v in range(1, n + 1)}
+    for u in range(n - 1, 0, -1):
+        free = [v for v in range(u + 1, n + 1) if len(preds[v]) < 2]
+        preds[draw(st.sampled_from(free))].add(u)
+    for v in range(2, n + 1):
+        more = st.lists(st.integers(1, v - 1), max_size=2 - len(preds[v]))
+        preds[v].update(draw(more))
+    return Dag(n=n, edges=tuple((u, v) for v in preds for u in sorted(preds[v])))
+
+
+def _check_black_state_budget(g, s, mp):
+    """As test_black_search_state_budget_matches_reference does for one
+    budget: bisect the smallest cap under which the reference fits; the
+    search must overflow below it and agree from it on."""
+    reference = _reference_black_search
+    lo, hi = 0, 2**g.n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _search_outcome(g, s, mid, reference, mp) == "over":
+            lo = mid
+        else:
+            hi = mid
+    for cap in sorted({1, lo // 2, lo, hi, hi + 1}):
+        want = _search_outcome(g, s, cap, reference, mp)
+        assert (want == "over") == (cap <= lo)
+        got = _search_outcome(g, s, cap, lambda g, s: _search(g, s, "black"), mp)
+        assert got == want, (s, cap)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_small_dags())
+def test_searches_match_references_on_drawn_dags(g):
+    validate_dag(g)
+    for s in range(1, g.n + 1):
+        found, want = _reference_black_search(g, s)
+        if found:
+            assert search_min_time_given_space(g, s, "black") == (len(want), want)
+        else:
+            with pytest.raises(InfeasibleError):
+                search_min_time_given_space(g, s, "black")
+    if g.n > 5:
+        return
+    for s in range(1, g.n + 1):
+        found, want = _reference_bw_search(g, s)
+        assert _search(g, s, "black_white") == (found, want)
+        with pytest.MonkeyPatch.context() as mp:
+            _check_black_state_budget(g, s, mp)
+
+
+# ---------------------------------------------------------------------------
+# golden black sweeps, too large for the frozenset reference: the sha256 of
+# the rows (s, time, witness) for s = 1..n, witness moves as (kind, vertex)
+
+_GOLDEN_SWEEPS = {
+    "pyramid:5": "9cefa18b41ccc343ab09313f3b0a13b49350a613cd04a217bbcf4d37ad51efad",
+    "bit_reversal:3": "af875258c80056a90e31434e46d6ffed02586423e611f535ac81bcd5dec3a5bd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_SWEEPS))
+def test_black_sweep_golden(name):
+    family, _, param = name.partition(":")
+    g = make_graph(family, int(param))
+    rows = []
+    for s in range(1, g.n + 1):
+        try:
+            t, witness = search_min_time_given_space(g, s, "black")
+        except InfeasibleError:
+            rows.append((s, None, None))
+            continue
+        rows.append((s, t, tuple((m.kind, m.vertex) for m in witness)))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _GOLDEN_SWEEPS[name]
+
+
+def test_black_search_memory_is_a_few_level_sets():
+    # 21 vertices: each 2^21-configuration set is 256 KB, and the search
+    # keeps one mask per vertex and move direction plus a few such sets; the
+    # level loop that kept every discovered state took about 52 MB here
+    g = pyramid_graph(5)
+    tracemalloc.start()
+    try:
+        t, _ = search_min_time_given_space(g, 21, "black")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t == 41
+    assert peak < 16_000_000
+
+
+@pytest.mark.parametrize("mode", ["black", "black_white"])
+def test_search_budgets_past_n_and_below_zero(mode):
+    # a budget past n allows what n allows; a negative one allows nothing
+    g = path_graph(4)
+    assert search_min_time_given_space(g, 4 + 300, mode) == (
+        search_min_time_given_space(g, 4, mode)
+    )
+    for s in (-1, -300):
+        with pytest.raises(InfeasibleError):
+            search_min_time_given_space(g, s, mode)
