@@ -32,6 +32,8 @@ _DEFAULTS = {
     "ENUM_VARS": 8,
     "ENUM_FORMULAS": 18,
     "ENUM_TERMS": 4,
+    # clause-set enumeration: labelled covers handed to canonicalisation
+    "ENUM_COVERS": 4_000_000,
 }
 
 

@@ -134,8 +134,9 @@ def _canonical_classes(universe, hits, var_masks, rename):
     """The classes of the hits under renaming of the used variables, each as
     its least sorted index tuple, sorted and deduplicated.
 
-    A hit is a tuple of universe indices; hits whose used variables are not
-    a prefix 1..v are skipped.  ``rename(item, perm)`` maps an item through
+    A hit is a tuple of universe indices; the hits may be any iterable,
+    read _CANON_HITS at a time, and hits whose used variables are not a
+    prefix 1..v are skipped.  ``rename(item, perm)`` maps an item through
     a permutation of 1..v and stays inside the universe.  The universe is
     sorted in output order, so the least index tuple is the least item
     tuple.  An item's images under the v! renamings are computed on first
@@ -165,9 +166,10 @@ def _canonical_classes(universe, hits, var_masks, rename):
             tables[v] = perms, slot, images
         return images[slot[rows]]  # (hit, member, renaming)
 
-    for begin in range(0, len(hits), _CANON_HITS):
+    hits = iter(hits)
+    while block := list(itertools.islice(hits, _CANON_HITS)):
         by_size = {}
-        for hit in hits[begin : begin + _CANON_HITS]:
+        for hit in block:
             by_size.setdefault(len(hit), []).append(hit)
         for size, group in by_size.items():
             rows = np.array(group, dtype=np.intp).reshape(len(group), size)
@@ -247,13 +249,40 @@ def _enumerate_cnf(max_vars, max_formulas):
 
 
 def scan_min_unsat_cnf(max_vars: int, max_formulas: int):
-    """Exhaustively visit every minimally unsatisfiable CNF within the caps
+    """Exhaustively count every minimally unsatisfiable CNF within the caps
     (not deduplicated by renaming) and report
     (count, bound_violations, counts_by_size, max_vars_by_size); a
-    violation is a set whose variable count reaches its clause count."""
+    violation is a set whose variable count reaches its clause count.
+
+    The universe is every clause over 1..max_vars, and the figures do not
+    change when variables are renamed or their signs flipped, a group that
+    moves any clause of width w onto any other.  Every cover has a
+    narrowest width w, so one scan per w walks the covers that hold the
+    clause x1 v ... v xw and no narrower clause, and weights each by
+    C(v, w) * 2^w (the width-w clauses) over its own number of width-w
+    clauses.
+    """
     _check_limits(max_vars, max_formulas)
-    _, masks, var_masks = _clause_universe(max_vars)
-    return accel.cover_scan(masks, var_masks, 1 << max_vars, max_formulas)
+    universe, masks, var_masks = _clause_universe(max_vars)
+    widths = [len(c.lits) for c in universe]
+    count = violations = 0
+    by_size = [0] * (max_formulas + 2)
+    max_vars_by_size = [0] * (max_formulas + 2)
+    for w in range(1, max_vars + 1):
+        n, bad, sizes, most = accel.cover_scan(
+            masks,
+            var_masks,
+            1 << max_vars,
+            max_formulas,
+            first=universe.index(Clause(range(1, w + 1))),
+            excluded=sum(1 << i for i, width in enumerate(widths) if width < w),
+            orbit=math.comb(max_vars, w) << w,
+        )
+        count += n
+        violations += bad
+        by_size = [a + b for a, b in zip(by_size, sizes)]
+        max_vars_by_size = [max(a, b) for a, b in zip(max_vars_by_size, most)]
+    return count, violations, by_size, max_vars_by_size
 
 
 def _all_terms(k, max_vars):

@@ -192,7 +192,7 @@ def test_cover_enumeration_and_scan_agree(max_vars, max_cubes):
     # wrappers visit the same DFS, so the covers must reproduce every figure
     # the scan reports
     masks, var_masks, npoints = _clause_universe(max_vars)
-    covers = accel.cover_enumeration(masks, npoints, max_cubes)
+    covers = list(accel.cover_enumeration(masks, npoints, max_cubes))
     assert covers == _reference_covers(masks, npoints, max_cubes)
     n, violations, counts, max_vars_by_size = accel.cover_scan(
         masks, var_masks, npoints, max_cubes
@@ -225,14 +225,66 @@ def test_cover_enumeration_matches_the_set_based_walk(max_vars, max_cubes):
         masks, npoints, max_cubes, lambda chosen: want.append(tuple(sorted(chosen)))
     )
     assert len(want) > 800
-    assert accel.cover_enumeration(masks, npoints, max_cubes) == want
+    assert list(accel.cover_enumeration(masks, npoints, max_cubes)) == want
 
 
-def test_cover_enumeration_output_limit_is_a_cap_error():
+def _walked(masks, npoints, max_cubes, first=None, excluded=0):
+    walk = accel._cover_dfs(masks, npoints, max_cubes, first, excluded)
+    return [tuple(c) for c in walk]
+
+
+def _random_masks(rng, npoints, count):
+    return [rng.randrange(1, 1 << npoints) for _ in range(count)]
+
+
+@pytest.mark.parametrize("max_cubes", [1, 2])
+def test_cover_enumeration_matches_the_reference_at_the_last_slot(max_cubes):
+    # with one or two cubes the last slot is the root or one level down;
+    # the full cube (the empty clause) and random masks give it covers
+    masks, _, npoints = _clause_universe(3)
+    cases = [([(1 << npoints) - 1] + masks, npoints)]
+    rng = random.Random(7)
+    cases += [(_random_masks(rng, 4, 12) + [15] * (i % 2), 4) for i in range(40)]
+    found = 0
+    for universe, npoints in cases:
+        want = []
+        cover_dfs(universe, npoints, max_cubes, lambda c: want.append(tuple(sorted(c))))
+        assert list(accel.cover_enumeration(universe, npoints, max_cubes)) == want
+        found += len(want)
+    assert found > 20
+
+
+def test_cover_walk_from_a_first_cube_avoiding_excluded_ones():
+    # the covers walked from a first cube are those of the whole walk that
+    # hold it and no excluded candidate, each once
+    rng = random.Random(11)
+    for _ in range(60):
+        npoints = rng.randrange(2, 7)
+        masks = _random_masks(rng, npoints, rng.randrange(4, 11))
+        max_cubes = rng.randrange(1, 5)
+        first = rng.randrange(len(masks))
+        excluded = rng.getrandbits(len(masks)) & ~(1 << first)
+        got = _walked(masks, npoints, max_cubes, first, excluded)
+        assert all(c[0] == first for c in got)
+        want = {
+            c
+            for c in _walked(masks, npoints, max_cubes)
+            if first in c and not any(excluded >> i & 1 for i in c)
+        }
+        assert sorted(tuple(sorted(c)) for c in got) == sorted(
+            tuple(sorted(c)) for c in want
+        )
+
+
+def test_cover_enumeration_output_limit_is_a_cap_error(monkeypatch):
     masks, _, npoints = _clause_universe(2)
-    assert len(accel.cover_enumeration(masks, npoints, 4, out_limit=11)) == 11
-    with pytest.raises(CapExceededError):
-        accel.cover_enumeration(masks, npoints, 4, out_limit=5)
+    monkeypatch.setenv("RESSPACE_UNSAFE_ENUM_COVERS", "11")
+    assert len(list(accel.cover_enumeration(masks, npoints, 4))) == 11
+    monkeypatch.setenv("RESSPACE_UNSAFE_ENUM_COVERS", "5")
+    covers = accel.cover_enumeration(masks, npoints, 4)
+    assert len(list(itertools.islice(covers, 5))) == 5
+    with pytest.raises(CapExceededError, match="more than 5 covers"):
+        next(covers)
 
 
 def test_unsafe_cap_override(monkeypatch):

@@ -252,6 +252,10 @@ def test_criterion_9_min_unsat_enumeration():
     covers, violations, counts, max_vars = scan_min_unsat_cnf(4, 16)
     assert covers == 15097499
     assert violations == 0
+    assert counts == [
+        0, 0, 4, 48, 974, 22072, 102960, 533256, 1978948, 3852592, 4631036,
+        2747376, 1035352, 181464, 11208, 208, 1, 0,
+    ]
     assert max(max_vars) == 4
     # the canonical enumerator agrees on a moderate slice
     for s in enumerate_min_unsat(1, 4, 6):

@@ -1,10 +1,9 @@
-import functools
 import hashlib
 import json
 
 import pytest
 
-from resspace import accel, cli
+from resspace import cli
 from resspace.cli import main
 from resspace.formats import graph_from_text
 
@@ -242,6 +241,18 @@ def test_minunsat_enumerate(capsys):
     assert "p kdnf k=1" in out
 
 
+def test_minunsat_enumerate_output_is_pinned(capsys):
+    # the 5,694 classes of clause sets over 4 variables with at most 6
+    # clauses, byte for byte
+    argv = ["minunsat", "--k", "1", "--max-vars", "4", "--max-formulas", "6"]
+    assert run(argv) == 0
+    out = capsys.readouterr()
+    assert "c found 5694 sets" in out.err
+    assert _sha256(out.out) == (
+        "6051d6af7b63618b1028d6fa38f942065f7ffa7f7d1a6d17999075a5c1f97c5c"
+    )
+
+
 def test_minunsat_default_max_formulas_depends_on_k(capsys):
     # 4 formulas for k=1, 3 (the k-DNF enumeration's limit) for k >= 2
     assert run(["minunsat", "--k", "2", "--max-vars", "2"]) == 0
@@ -291,15 +302,12 @@ def test_cap_exit_code():
 
 
 def test_minunsat_cover_output_limit_exits_3(monkeypatch, capsys):
-    # the fixed 4,000,000-cover limit, lowered so a tiny enumeration hits it
-    monkeypatch.setattr(
-        accel,
-        "cover_enumeration",
-        functools.partial(accel.cover_enumeration, out_limit=5),
-    )
+    # the ENUM_COVERS cap, lowered so a tiny enumeration hits it
+    monkeypatch.setenv("RESSPACE_UNSAFE_ENUM_COVERS", "5")
     argv = ["minunsat", "--k", "1", "--max-vars", "2", "--max-formulas", "3"]
     assert run(argv) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error [CAP_EXCEEDED]: cover enumeration found more than 5 covers\n"
 
 
 def test_selftest(capsys):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,59 @@ def test_scan_cnf_3vars_no_violations():
     assert n == 869
     assert violations == 0
     assert max(max_vars) == 3
+
+
+def test_scan_cnf_4vars_7clauses_is_pinned():
+    assert scan_min_unsat_cnf(4, 7) == (
+        659314,
+        0,
+        [0, 0, 4, 48, 974, 22072, 102960, 533256, 0],
+        [0, 0, 1, 2, 3, 4, 4, 4, 0],
+    )
+
+
+def _reference_scan(max_vars, max_formulas):
+    """The scan's figures over every cover the reference walk visits in the
+    whole clause universe, each counted once."""
+    _, masks, var_masks = _clause_universe(max_vars)
+    count = violations = 0
+    by_size = [0] * (max_formulas + 2)
+    most = [0] * (max_formulas + 2)
+
+    def visit(chosen):
+        nonlocal count, violations
+        nv = sum(any(var_masks[c] >> v & 1 for c in chosen) for v in range(max_vars))
+        count += 1
+        by_size[len(chosen)] += 1
+        most[len(chosen)] = max(most[len(chosen)], nv)
+        violations += nv >= len(chosen)
+
+    reference.cover_dfs(masks, 1 << max_vars, max_formulas, visit)
+    return count, violations, by_size, most
+
+
+@pytest.mark.parametrize(
+    "max_vars, max_formulas",
+    [(v, m) for v in range(4) for m in range(1, 9)] + [(4, m) for m in range(1, 6)],
+)
+def test_weighted_scan_matches_the_unweighted_reference_walk(max_vars, max_formulas):
+    # one walk per narrowest width, weighted by orbit size, counts what the
+    # walk over every labelled cover counts
+    got = scan_min_unsat_cnf(max_vars, max_formulas)
+    assert got == _reference_scan(max_vars, max_formulas)
+
+
+def test_enumerate_cnf_streams_its_covers():
+    # the 126,058 labelled covers go to canonicalisation a block at a time,
+    # never as one list
+    tracemalloc.start()
+    try:
+        got = list(enumerate_min_unsat(1, 4, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 5694
+    assert peak < 8e6
 
 
 def test_enumerate_kdnf_small():
