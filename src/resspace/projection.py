@@ -83,8 +83,13 @@ class Projector:
         self._images = {}  # shadow size -> f-image of every assignment
 
     def _check_caps(self, n_formulas, mode):
-        """The caps on the base variables and on the formulas of one
-        configuration; read on every call, so a lowered cap takes effect."""
+        """The mode, then the caps on the base variables and on the formulas
+        of one configuration; read on every call, so a lowered cap takes
+        effect."""
+        if mode not in ("subset", "whole_set"):
+            raise InvalidParamError(
+                f"unknown projection mode {mode!r}: use subset or whole_set"
+            )
         if len(self.base_vars) > get_cap("PROJECT_BASE_VARS"):
             raise CapExceededError(
                 f"{len(self.base_vars)} base variables exceed projection cap"

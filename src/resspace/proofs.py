@@ -9,6 +9,11 @@ Lines added by downloads and inferences get stable ids in arrival order;
 erasures name the id.  Configurations are sets of formulas: measures are
 computed over distinct line values, and ids are bookkeeping only.
 
+Replay checks each step against the board and then applies it; one
+applier serves replay and ``ReplayLog.walk``, which applies the checked
+steps again on a fresh board.  The log keeps the measures, not the steps'
+events, so checking holds memory for the board, not for the length.
+
 Syntactic rules (lines are k-DNFs; T, T' terms; a_i literals):
 
   cut          (a_1^...^a_k') v B  and  ~a_1 v ... v ~a_k' v C  give  B v C
@@ -25,7 +30,6 @@ the new line to stay over the variables of the target formula and board
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BadPremisesError,
@@ -224,14 +228,15 @@ class Configuration:
 
 @dataclass
 class ReplayEvent:
+    """What a step did to the board: the id and value of the line it added,
+    or of the line it erased, and for an inference its rule and premises."""
+
     kind: str  # "axiom" | "infer" | "erase"
-    new_id: int | None
-    formula: KDnfFormula | None
+    new_id: int
+    formula: KDnfFormula
     rule: str | None = None
     premises: tuple[int, ...] = ()
     premise_values: tuple[KDnfFormula, ...] = ()
-    pivot: int | None = None  # k=1 cut: the literal resolved on
-    pos_premise: int | None = None  # id of the premise holding the pivot
 
 
 def _seeded(deriv: Derivation) -> Configuration:
@@ -243,8 +248,10 @@ def _seeded(deriv: Derivation) -> Configuration:
 
 @dataclass
 class ReplayLog:
+    """The outcome of a replay.  It keeps no record of the steps: ``walk``
+    applies them again."""
+
     derivation: Derivation
-    events: list
     measures: MeasureReport
     first_zero: int | None  # index of the first configuration containing 0
 
@@ -254,129 +261,108 @@ class ReplayLog:
 
     def walk(self):
         """The boards one at a time, as frozensets of line values: (0, None,
-        the seeded board), then (t, event t, the board after it) for t = 1,
-        2, ...  Each walk re-applies the events to a fresh board and keeps
-        none of the boards it yields."""
-        config = _seeded(self.derivation)
+        the seeded board), then (t, event of step t, the board after it) for
+        t = 1, 2, ...  Each walk applies the checked steps to a fresh board
+        and keeps none of the boards it yields."""
+        deriv = self.derivation
+        config = _seeded(deriv)
         yield 0, None, config.values()
-        for t, ev in enumerate(self.events, 1):
-            if ev.kind == "erase":
-                config.pop(ev.new_id)
-            else:
-                config.add(ev.formula)
-            yield t, ev, config.values()
+        for t, step in enumerate(deriv.steps, 1):
+            yield t, _apply(config, step, deriv.k), config.values()
 
 
-@dataclass(frozen=True)
-class _Rules:
-    """What a step is checked against: the target formula, k and the mode."""
-
-    formula: CnfFormula
-    k: int
-    mode: str
-
-    @cached_property
-    def formula_variables(self) -> frozenset[int]:
-        return self.formula.variables()
-
-
-def _check_inference(rules, config, step, index):
+def _check_inference(deriv: Derivation, config: Configuration, step, index: int):
+    """Raise unless the inference follows from the board under the rules of
+    ``deriv``: its k, its mode and, in semantic mode, its formula."""
     for p in step.premises:
         if p not in config.lines:
             raise BadPremisesError(f"step {index}: premise {p} not on the board")
     vals = tuple(config.lines[p] for p in step.premises)
     cons = step.formula
-    if cons.max_term_width() > rules.k:
-        raise WidthExceededError(f"step {index}: term wider than k={rules.k}")
-    if cons.k != rules.k:
-        cons = cons.with_k(rules.k)
+    if cons.max_term_width() > deriv.k:
+        raise WidthExceededError(f"step {index}: term wider than k={deriv.k}")
+    if cons.k != deriv.k:
+        cons = cons.with_k(deriv.k)
     rule = step.rule
-    if rules.mode == SEMANTIC:
+    if deriv.mode == SEMANTIC:
         if rule != "sem":
             raise RuleMismatchError(f"step {index}: semantic derivations use rule sem")
-        if any(
-            v not in config.var_refs and v not in rules.formula_variables
-            for v in cons.variables()
-        ):
+        if not cons.variables() <= config.var_refs.keys() | deriv.formula.variables():
             raise RuleMismatchError(
                 f"step {index}: consequence mentions variables outside the board"
             )
         if not implies(list(config.values()), [cons]):
             raise NotImpliedError(f"step {index}: consequence is not implied")
-        return ReplayEvent(
-            "infer", None, cons, rule, step.premises, vals
-        )
-    if rule == "sem":
+    elif rule == "sem":
         raise RuleMismatchError(f"step {index}: rule sem needs semantic mode")
-    if rule == "weak":
+    elif rule == "weak":
         if len(vals) != 1:
             raise BadPremisesError(f"step {index}: weakening takes one premise")
         if not set(vals[0].terms) <= set(cons.terms):
             raise RuleMismatchError(f"step {index}: weakening must keep all terms")
-        return ReplayEvent("infer", None, cons, rule, step.premises, vals)
-    if rule == "ande":
+    elif rule == "ande":
         if len(vals) != 1:
             raise BadPremisesError(f"step {index}: ande takes one premise")
         if match_ande(vals[0], cons) is None:
             raise RuleMismatchError(f"step {index}: not an ande consequence")
-        return ReplayEvent("infer", None, cons, rule, step.premises, vals)
-    if rule == "andi":
+    elif rule == "andi":
         if len(vals) != 2:
             raise BadPremisesError(f"step {index}: andi takes two premises")
         if (
-            match_andi(vals[0], vals[1], cons, rules.k) is None
-            and match_andi(vals[1], vals[0], cons, rules.k) is None
+            match_andi(vals[0], vals[1], cons, deriv.k) is None
+            and match_andi(vals[1], vals[0], cons, deriv.k) is None
         ):
             raise RuleMismatchError(f"step {index}: not an andi consequence")
-        return ReplayEvent("infer", None, cons, rule, step.premises, vals)
-    if rule == "cut":
+    elif rule == "cut":
         if len(vals) != 2:
             raise BadPremisesError(f"step {index}: cut takes two premises")
-        t = match_cut(vals[0], vals[1], cons)
-        pos = step.premises[0]
-        if t is None:
-            t = match_cut(vals[1], vals[0], cons)
-            pos = step.premises[1]
-        if t is None:
+        if (
+            match_cut(vals[0], vals[1], cons) is None
+            and match_cut(vals[1], vals[0], cons) is None
+        ):
             raise RuleMismatchError(f"step {index}: not a cut consequence")
-        pivot = t.lits[0] if len(t) == 1 else None
-        return ReplayEvent(
-            "infer", None, cons, rule, step.premises, vals, pivot=pivot, pos_premise=pos
-        )
-    raise RuleMismatchError(f"step {index}: unknown rule {rule!r}")
+    else:
+        raise RuleMismatchError(f"step {index}: unknown rule {rule!r}")
 
 
-def _apply_step(rules: _Rules, config: Configuration, step, index: int) -> ReplayEvent:
-    """Check step number ``index`` against the board and apply it in place."""
+def _check_step(deriv: Derivation, config: Configuration, step, index: int):
+    """Raise unless step number ``index`` is legal on the board."""
     if isinstance(step, AxiomDownload):
-        if step.clause not in rules.formula:
+        if step.clause not in deriv.formula:
             raise NotAnAxiomError(
                 f"step {index}: clause {step.clause.lits} is not an axiom"
             )
-        line = KDnfFormula.from_clause(step.clause, k=rules.k)
-        return ReplayEvent("axiom", config.add(line), line)
-    if isinstance(step, Inference):
-        ev = _check_inference(rules, config, step, index)
-        ev.new_id = config.add(ev.formula)
-        return ev
-    if isinstance(step, Erasure):
+    elif isinstance(step, Inference):
+        _check_inference(deriv, config, step, index)
+    elif isinstance(step, Erasure):
         if step.target not in config.lines:
             raise BadPremisesError(f"step {index}: erasing missing id {step.target}")
-        return ReplayEvent("erase", step.target, config.pop(step.target))
-    raise RuleMismatchError(f"step {index}: unknown step kind")
+    else:
+        raise RuleMismatchError(f"step {index}: unknown step kind")
+
+
+def _apply(config: Configuration, step, k: int) -> ReplayEvent:
+    """Apply a checked step to the board in place and return its event."""
+    if isinstance(step, AxiomDownload):
+        line = KDnfFormula.from_clause(step.clause, k=k)
+        return ReplayEvent("axiom", config.add(line), line)
+    if isinstance(step, Inference):
+        vals = tuple(config.lines[p] for p in step.premises)
+        line = step.formula if step.formula.k == k else step.formula.with_k(k)
+        return ReplayEvent("infer", config.add(line), line, step.rule, step.premises, vals)
+    return ReplayEvent("erase", step.target, config.pop(step.target))
 
 
 def replay(deriv: Derivation) -> ReplayLog:
-    """Validate every step and account the measures."""
-    rules = _Rules(deriv.formula, deriv.k, deriv.mode)
+    """Check and apply every step, folding each into the measures; the log
+    holds memory for the largest board, not for every step."""
     config = _seeded(deriv)
     zero = zero_formula(deriv.k)
     first_zero = 0 if zero in config.multiplicity else None
-    events = []
     length = downloads = 0
     for index, step in enumerate(deriv.steps):
-        ev = _apply_step(rules, config, step, index)
-        events.append(ev)
+        _check_step(deriv, config, step, index)
+        ev = _apply(config, step, deriv.k)
         if ev.kind == "erase":
             continue
         length += 1
@@ -393,7 +379,7 @@ def replay(deriv: Derivation) -> ReplayLog:
         max_terms=None if deriv.k == 1 else config.max_terms,
         max_formula_size=None if deriv.k == 1 else config.max_size,
     )
-    return ReplayLog(deriv, events, measures, first_zero)
+    return ReplayLog(deriv, measures, first_zero)
 
 
 def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:
@@ -411,17 +397,17 @@ def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:
 
 
 class DerivationBuilder:
-    """Step/id bookkeeping for the proof compilers.
+    """Step/id bookkeeping for the proof compilers; it builds syntactic
+    derivations.
 
     The builder tracks live line values alongside ids so callers can splice
     in derivation fragments with their downloads bound to lines already on
     the board.
     """
 
-    def __init__(self, formula: CnfFormula, k: int = 1, mode: str = SYNTACTIC):
+    def __init__(self, formula: CnfFormula, k: int = 1):
         self.formula = formula
         self.k = k
-        self.mode = mode
         self.steps = []
         self.live: dict[int, KDnfFormula] = {}
         self._next = 1
@@ -484,7 +470,7 @@ class DerivationBuilder:
         return idmap
 
     def build(self) -> Derivation:
-        return Derivation(self.formula, self.k, self.mode, tuple(self.steps))
+        return Derivation(self.formula, self.k, SYNTACTIC, tuple(self.steps))
 
 
 # ---------------------------------------------------------------------------

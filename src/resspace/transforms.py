@@ -9,6 +9,8 @@ for weakening elimination, weakenings.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import InvalidInputError, NotARefutationError
 from .logic import Clause, KDnfFormula
 from .proofs import (
@@ -16,6 +18,7 @@ from .proofs import (
     DerivationBuilder,
     Inference,
     SYNTACTIC,
+    match_cut,
     replay,
     zero_formula,
 )
@@ -58,7 +61,7 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
         alias[input_id] = out_id
         refcount[out_id] = refcount.get(out_id, 0) + 1
 
-    for ev in log.events:
+    for _, ev, _ in itertools.islice(log.walk(), 1, None):
         if ev.kind == "axiom":
             adopt(ev.new_id, out.download(ev.formula.as_clause()))
         elif ev.kind == "erase":
@@ -68,14 +71,11 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
                 out.erase(o)
         elif ev.rule == "weak":
             adopt(ev.new_id, alias[ev.premises[0]])
-        else:  # cut
-            if ev.pivot is None:
-                raise InvalidInputError("cut without a unit pivot term")
-            pos_in = ev.pos_premise
-            neg_in = ev.premises[1] if ev.premises[0] == pos_in else ev.premises[0]
+        else:  # cut: on clauses match_cut is symmetric and finds a unit term
+            pos_in, neg_in = ev.premises
+            x = match_cut(*ev.premise_values, ev.formula).lits[0]
             a = out.clause_value(alias[pos_in])
             b = out.clause_value(alias[neg_in])
-            x = ev.pivot
             if x in a and -x in b:
                 resolvent = Clause(
                     [l for l in a.lits if l != x] + [l for l in b.lits if l != -x]
@@ -117,7 +117,8 @@ def make_frugal(deriv: Derivation) -> Derivation:
     zero = zero_formula(1)
     cur = {zero}
     ops_rev = []
-    for ev in reversed(log.events[:s]):
+    events = [ev for _, ev, _ in itertools.islice(log.walk(), 1, s + 1)]
+    for ev in reversed(events):
         if ev.kind == "axiom":
             if ev.formula in cur:
                 ops_rev.append(("axiom", ev.formula))

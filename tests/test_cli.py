@@ -363,8 +363,10 @@ def _write_base(path, graph):
          "4c2d71695b9f2ab8d873e17c1314b44497c34dd0881c8ac55bc0bcd6e14e1cdc"),
         ("path:3", "maj:3", ["--mode", "whole_set"], 420,
          "a02a772e5b458dae40da566713acb66685040f143a5dc716d77440fd30cfb941"),
+        ("pyramid:2", "xor:2", ["--mode", "whole_set"], 498,
+         "1cdfd17a89b06ddfa7491361789fd863e40a06d80e2464f423def6c14694392b"),
     ],
-    ids=["path:2/xor:2/subset", "path:3/maj:3/k=d/whole_set"],
+    ids=["path:2/xor:2/subset", "path:3/maj:3/k=d/whole_set", "pyramid:2/xor:2/k=d/whole_set"],
 )
 def test_project_output_pinned(tmp_path, capsys, graph, f, extra, lines, digest):
     """Every line of ``resspace project``: one projected set per board."""

@@ -654,6 +654,16 @@ def test_project_rejects_a_member_that_is_no_clause_or_dnf(member):
             Projector(BASE_XY, XOR2).project([Clause([1]), member], mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["subst", "whole-set", "", None])
+def test_project_rejects_an_unknown_mode(mode):
+    # an unknown mode once fell through to whole-set projection
+    projector = Projector(BASE_XY, XOR2)
+    for call in (projector.project, projector.project_board):
+        with pytest.raises(InvalidParamError, match="^unknown projection mode "):
+            call([Clause([1])], mode=mode)
+    assert projector._memo == {}
+
+
 def test_whole_set_projects_mixed_clause_and_dnf_lines():
     # whole-set mode reads a clause as a 1-DNF, so a configuration may mix both
     dnf = [KDnfFormula([Term([1])], k=1), KDnfFormula([Term([2])], k=1)]

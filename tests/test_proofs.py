@@ -100,12 +100,11 @@ def test_syntactic_steps_also_semantically_sound():
     d = derive_implied_clause(
         [Clause([1, 2]), Clause([-1, 2]), Clause([-2])], Clause()
     )
-    log = replay(d)
-    boards = _boards(log)
-    for t, ev in enumerate(log.events):
+    walked = list(replay(d).walk())
+    for (_, _, before), (_, ev, _) in zip(walked, walked[1:]):
         if ev.kind != "infer":
             continue
-        assert implies(list(boards[t]), [ev.formula])
+        assert implies(list(before), [ev.formula])
 
 
 def test_and_introduction():
@@ -430,10 +429,10 @@ def test_checker_mutation_soundness():
             rejected += 1
             continue
         accepted += 1
-        boards = _boards(log)
-        for t, ev in enumerate(log.events):  # accepted mutants stay sound
+        walked = list(log.walk())
+        for (_, _, before), (_, ev, _) in zip(walked, walked[1:]):  # accepted mutants stay sound
             if ev.kind == "infer":
-                assert implies(list(boards[t]), [ev.formula])
+                assert implies(list(before), [ev.formula])
     assert rejected > accepted
 
 
@@ -441,22 +440,28 @@ def test_checker_mutation_soundness():
 
 
 def _from_scratch(deriv):
-    """Configurations, measures and first zero of a derivation that replay
-    accepts, recomputed over the whole board after every step."""
+    """Configurations, step events, measures and first zero of a derivation
+    that replay accepts, recomputed over the whole board after every step.
+    An event is (kind, new_id, formula, premises, premise_values); an
+    erasure's id and formula are those of the line it removes."""
     lines = {i: a.with_k(deriv.k) for i, a in enumerate(deriv.assumptions, 1)}
     next_id = len(lines) + 1
     configs = [frozenset(lines.values())]
+    events = []
     length = downloads = 0
     for step in deriv.steps:
         if isinstance(step, Erasure):
-            del lines[step.target]
+            events.append(("erase", step.target, lines.pop(step.target), (), ()))
         else:
             length += 1
             if isinstance(step, AxiomDownload):
                 downloads += 1
                 lines[next_id] = KDnfFormula.from_clause(step.clause, k=deriv.k)
+                events.append(("axiom", next_id, lines[next_id], (), ()))
             else:
+                values = tuple(lines[p] for p in step.premises)
                 lines[next_id] = step.formula.with_k(deriv.k)
+                events.append(("infer", next_id, lines[next_id], step.premises, values))
             next_id += 1
         configs.append(frozenset(lines.values()))
     entered = set().union(*configs)
@@ -477,15 +482,21 @@ def _from_scratch(deriv):
     )
     zero = zero_formula(deriv.k)
     first_zero = next((t for t, c in enumerate(configs) if zero in c), None)
-    return configs, measures, first_zero
+    return configs, events, measures, first_zero
 
 
 def _assert_matches_scratch(deriv):
     log = replay(deriv)
-    configs, measures, first_zero = _from_scratch(deriv)
+    configs, events, measures, first_zero = _from_scratch(deriv)
     assert log.measures == measures
     assert log.first_zero == first_zero
-    assert _boards(log) == configs
+    walked = list(log.walk())
+    assert [board for _, _, board in walked] == configs
+    assert walked[0][1] is None
+    assert [
+        (ev.kind, ev.new_id, ev.formula, ev.premises, ev.premise_values)
+        for _, ev, _ in walked[1:]
+    ] == events
     return log
 
 
@@ -531,6 +542,14 @@ def test_measures_match_scratch_on_seeded_derivations():
         Derivation(CnfFormula([]), 2, "syntactic", steps, assumptions=(d1, d2))
     )
     assert log.measures.formula_space == 3 and log.first_zero is None
+    # a consequence written at a smaller k joins the board at the derivation's k
+    log = _assert_matches_scratch(
+        Derivation(
+            CnfFormula([]), 2, "syntactic", (Inference(dnf([[3], [4]]), "cut", (1, 2)),),
+            assumptions=(d1, d2),
+        )
+    )
+    assert cut in _boards(log)[1]
     # the seeded board is the peak when the steps only erase
     log = _assert_matches_scratch(
         Derivation(CnfFormula([]), 2, "syntactic", (Erasure(2), Erasure(1)), assumptions=(d1, d2))
@@ -733,6 +752,31 @@ def test_long_proof_measures_pinned():
         max_terms=9,
         max_formula_size=18,
     )
+
+
+def test_check_refutation_memory_follows_the_board_not_the_length():
+    """Checking keeps no per-step record: the 27,515-step k = d proof is
+    checked in memory for its boards of at most 51 lines."""
+    import tracemalloc
+
+    from resspace.boolfunc import function_by_name
+    from resspace.compilers import compile_pebbling_rk, pebbling_formula
+    from resspace.graphs import make_graph
+    from resspace.pebbling import trivial_black_pebbling
+
+    dag = make_graph("pyramid", 10)
+    f = function_by_name("maj", 3)
+    deriv = compile_pebbling_rk(dag, trivial_black_pebbling(dag), f)
+    formula = pebbling_formula(dag, f).cnf
+    assert len(deriv.steps) == 27515
+    tracemalloc.start()
+    try:
+        measures = check_refutation(formula, deriv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measures.formula_space == 51
+    assert peak < 1.5e6
 
 
 def test_step_error_messages():

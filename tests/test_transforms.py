@@ -236,3 +236,44 @@ def test_transforms_reject_empty_term_lines():
     b.infer("weak", [a], KDnfFormula([Term([1]), Term()], k=1))
     with pytest.raises(InvalidInputError):
         eliminate_weakening(b.build())
+
+
+@pytest.mark.parametrize(
+    "graph, fspec, weak_digest, frugal_digest",
+    [
+        ("pyramid:3", "xor:2",
+         "5bdada364fe4e4bf39fb56612a99712082b76d958084200bca3f3a6ef9f32826",
+         "5fb86213fc758453b5ddaafd7bc5fb2d1746727fd20b1eeaf985b681de93b0e9"),
+        ("bit_reversal:1", "maj:3",
+         "b63681f774eea49294d6fb17e988e825a85405eb772a82cbdc3a714816779e76",
+         "3a6f071816e20745e938ccb5e46cf172be2c2ef2484ed402636a05728ffcc311"),
+    ],
+)
+def test_transform_outputs_pinned_on_translated_refutations(
+    graph, fspec, weak_digest, frugal_digest
+):
+    """The proof text of both transforms, applied in turn to the translation
+    of a compiled refutation, whose weakenings come from the translation."""
+    import hashlib
+
+    from resspace.boolfunc import function_by_name
+    from resspace.compilers import compile_pebbling, pebbling_formula
+    from resspace.formats import derivation_to_text
+    from resspace.graphs import make_graph
+    from resspace.pebbling import trivial_black_pebbling
+    from resspace.projection import translate_refutation
+
+    family, _, param = graph.partition(":")
+    dag = make_graph(family, int(param))
+    name, _, d = fspec.partition(":")
+    f = function_by_name(name, int(d))
+    deriv = compile_pebbling(dag, trivial_black_pebbling(dag), f)
+    translated = translate_refutation(deriv, pebbling_formula(dag, f).base, f).derivation
+    assert has_weakening(translated)
+    weak = eliminate_weakening(translated)
+    frugal = make_frugal(weak)
+
+    def digest(deriv):
+        return hashlib.sha256(derivation_to_text(deriv).encode()).hexdigest()
+
+    assert (digest(weak), digest(frugal)) == (weak_digest, frugal_digest)
