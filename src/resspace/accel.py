@@ -30,8 +30,9 @@ clause-set scan uses that to walk one representative clause per narrowest
 width.  ``scan_min_unsat_cnf(4, 7)`` walks 94,455 covers in 0.19 s where
 the walk over all 659,314 labelled covers took 1.5 s, and
 ``scan_min_unsat_cnf(4, 16)`` walks 1,705,629 in 3.9 s instead of all
-15,097,499 in 39 s.  ``cover_enumeration`` at (4, 6) takes 0.25 s instead of
-0.30 s.
+15,097,499 in 39 s.  The enumeration walks from a list of such starts, one
+per orbit representative, under one cover cap: at (4, 6) it walks 45,897
+covers in 0.095 s where all 126,058 labelled covers took 0.21 s.
 
 The two pebble games run one level-synchronous BFS each, and a game's
 discovery order fixes its witnesses.  The black search holds each level
@@ -46,10 +47,17 @@ pyramid:4 and binary_tree:3).  The visited count at the target is the
 levels below it plus the target's rank in its own level.  The working set
 is one mask per vertex and move direction plus a few level-sized sets, 13
 MB at pyramid:5's largest budget, where the move-major loop over lists of
-states took 58 MB.  The pyramid:5 sweep over all 21 budgets takes 1.2-1.4
-s instead of 4.0-4.7 s.  A level costs about 1.5 ms at pyramid:5 however
-few configurations it holds, so the price search there takes 0.26-0.35 s
-instead of 0.09-0.10 s.  The black-white search has 3^n keys and expands one source
+states took 58 MB.  A level is expanded only on its live span, the words
+from its first to its last nonzero one: each move reads the part of it
+whose image stays in range, and the visited filter, the count and the
+recording run over the words the moves can write from there, a window
+worked out once per level.  So a level costs what its span holds, not a
+fixed ~1.5 ms at pyramid:5.  The pyramid:5 sweep over all 21 budgets takes
+0.53-0.57 s, against 1.02-1.05 s with every level expanded over all 2^n
+configurations and 4.0-4.7 s for the lists of states; the pyramid:5 price
+search takes 0.095 s instead of 0.24-0.26 s, and the bit_reversal:3 sweep
+(n = 16) 0.050 s instead of 0.056-0.059 s.
+The black-white search has 3^n keys and expands one source
 state at a time (source-major), the order of the frozenset BFS it
 replaced, in chunks of sources, recording parents.  It drops visited
 successors before ``np.unique``; deduplicating first made its pyramid:3
@@ -183,6 +191,8 @@ def _in_word(keep):
 _ONES = ~np.uint64(0)
 # positions with bit v clear (v < 6); positions with fewer than j one bits
 _IN_CLEAR = [_in_word(lambda b, v=v: not b >> v & 1) for v in range(6)]
+_IN_SET = [~m for m in _IN_CLEAR]
+_IN_SHIFT = [np.uint64(1 << v) for v in range(6)]
 _IN_FEWER = np.array(
     [_in_word(lambda b, j=j: b.bit_count() < j) for j in range(8)], dtype=np.uint64
 )
@@ -220,27 +230,46 @@ class _BlackMoves:
     def empty(self):
         return np.zeros(self.words, dtype=np.uint64)
 
-    def apply(self, code, src, out):
-        """out |= the configurations that move ``code`` reaches from src."""
+    def window(self, lo, hi):
+        """The words [a, b) that the 2n moves can write from sources whose
+        nonzero words lie in [lo, hi).  A placement on v >= 6 moves its
+        sources below W - k up k words, a removal its sources from k on down
+        k words, so the widest shifts with a nonempty slice bound the
+        window: the largest k below W - lo up, below hi down."""
+        up, down = self._widest_shift(self.words - lo), self._widest_shift(hi)
+        return max(lo - down, 0), min(hi + up, self.words)
+
+    def _widest_shift(self, x):
+        """The largest word shift k = 2^(v - 6) below x, or 0."""
+        return min(self.words >> 1, 1 << (x - 1).bit_length() >> 1)
+
+    def expand(self, codes, src, out, lo, hi):
+        """out |= the configurations that the moves ``codes`` reach from
+        src, whose nonzero words lie in [lo, hi)."""
         n, tmp = self.n, self.tmp
-        v = code % n
-        if code < n:  # x -> x + 2^v
-            if v < 6:
-                np.bitwise_and(src, self.place[v], out=tmp)
-                tmp <<= np.uint64(1 << v)
-                out |= tmp
-            else:
-                k = 1 << (v - 6)
-                np.bitwise_and(src[:-k], self.place[v, :-k], out=tmp[:-k])
-                out[k:] |= tmp[:-k]
-        elif v < 6:  # x -> x - 2^v
-            np.bitwise_and(src, ~_IN_CLEAR[v], out=tmp)
-            tmp >>= np.uint64(1 << v)
-            out |= tmp
-        else:
+        s, t, o = src[lo:hi], tmp[lo:hi], out[lo:hi]
+        for code in codes:
+            v = code % n
+            if v < 6:  # in-word: x -> x + 2^v, or x -> x - 2^v
+                if code < n:
+                    np.bitwise_and(s, self.place[v, lo:hi], out=t)
+                    t <<= _IN_SHIFT[v]
+                else:
+                    np.bitwise_and(s, _IN_SET[v], out=t)
+                    t >>= _IN_SHIFT[v]
+                o |= t
+                continue
             k = 1 << (v - 6)
-            np.bitwise_and(src[k:], self.drop[v - 6][k:], out=tmp[:-k])
-            out[:-k] |= tmp[:-k]
+            if code < n:  # x -> x + 2^v: sources below W - k
+                a, b = lo, min(hi, self.words - k)
+                if a < b:
+                    np.bitwise_and(src[a:b], self.place[v, a:b], out=tmp[a:b])
+                    out[a + k : b + k] |= tmp[a:b]
+            else:  # x -> x - 2^v: sources from k on
+                a, b = max(lo, k), hi
+                if a < b:
+                    np.bitwise_and(src[a:b], self.drop[v - 6][a:b], out=tmp[a:b])
+                    out[a - k : b - k] |= tmp[a:b]
 
     def undo(self, code, src, out):
         """out = the configurations from which move ``code`` reaches src, for
@@ -248,7 +277,7 @@ class _BlackMoves:
         v = code % self.n
         back = code >= self.n  # undoing a removal puts the pebble back
         if v < 6:
-            shift = np.uint64(1 << v)
+            shift = _IN_SHIFT[v]
             (np.left_shift if back else np.right_shift)(src, shift, out=out)
             return
         k = 1 << (v - 6)
@@ -278,13 +307,14 @@ class _Levels:
         self.visited = start.copy()
         self.planes = []
 
-    def add(self, depth, new):
-        self.visited |= new
+    def add(self, depth, new, lo, hi):
+        """Record the level ``new``, whose nonzero words lie in [lo, hi)."""
+        self.visited[lo:hi] |= new[lo:hi]
         if depth == 1 << len(self.planes):
             self.planes.append(np.zeros_like(new))
         for j, plane in enumerate(self.planes):
             if depth >> j & 1:
-                plane |= new
+                plane[lo:hi] |= new[lo:hi]
 
     def depth_of(self, x):
         """x's level, or -1 if x was not visited."""
@@ -319,15 +349,19 @@ def black_bfs(n, pred_masks, target, space_cap, state_cap):
     level[0] = 1  # the empty configuration
     levels = _Levels(level)
     count = depth = 1
+    lo, hi = 0, 1  # the level's first and one past its last nonzero word
     while True:
         nxt[:] = 0
-        for code in range(2 * n):
-            moves.apply(code, level, nxt)
-        nxt &= np.invert(levels.visited, out=unseen)
-        size = _popcount(nxt)
-        if size == 0:
+        moves.expand(range(2 * n), level, nxt, lo, hi)
+        a, b = moves.window(lo, hi)
+        new = nxt[a:b]
+        new &= np.invert(levels.visited[a:b], out=unseen[a:b])
+        live = np.flatnonzero(new)
+        if live.size == 0:
             return EXHAUSTED, range(count), None
-        levels.add(depth, nxt)
+        lo, hi = a + int(live[0]), a + int(live[-1]) + 1
+        size = _popcount(nxt[lo:hi])
+        levels.add(depth, nxt, lo, hi)
         if _has(nxt, target):
             witness = _walk_back(moves, levels, target, depth)
             total = count + _rank(moves, levels, nxt, witness) + 1
@@ -379,12 +413,11 @@ def _rank(moves, levels, top, witness):
             break
         code, below = witness[d - 1], levels.level(d - 1)
         ahead[:] = 0
-        for c in range(code):
-            moves.apply(c, below, ahead)
+        moves.expand(range(code), below, ahead, 0, moves.words)
         ahead &= tie
         count += _popcount(ahead)
         rest[:] = 0
-        moves.apply(code, below, rest)
+        moves.expand([code], below, rest, 0, moves.words)
         rest &= tie
         rest &= ~ahead
         moves.undo(code, rest, tie)
@@ -591,18 +624,23 @@ def _bits(x):
         x ^= low
 
 
-def cover_enumeration(masks, npoints, max_cubes):
-    """Every irredundant cover of ``npoints`` points by the given subcube
-    masks, each a sorted tuple of mask indices, in DFS order.
+def cover_enumeration(masks, npoints, max_cubes, starts=((None, 0),)):
+    """The irredundant covers of ``npoints`` points by the given subcube
+    masks, each a sorted tuple of mask indices: for each (first, excluded)
+    of ``starts`` in turn, the covers that _cover_dfs walks from it, in DFS
+    order.  The default walks every cover once.
 
     Raises CapExceededError once more than the ENUM_COVERS cap of covers
-    has been found.
+    has been found over all the starts.
     """
     limit = get_cap("ENUM_COVERS")
-    for found, chosen in enumerate(_cover_dfs(masks, npoints, max_cubes), 1):
-        if found > limit:
-            raise CapExceededError(f"cover enumeration found more than {limit} covers")
-        yield tuple(sorted(chosen))
+    found = 0
+    for first, excluded in starts:
+        for chosen in _cover_dfs(masks, npoints, max_cubes, first, excluded):
+            found += 1
+            if found > limit:
+                raise CapExceededError(f"cover enumeration found more than {limit} covers")
+            yield tuple(sorted(chosen))
 
 
 def cover_scan(masks, var_masks, npoints, max_cubes, first=None, excluded=0, orbit=1):

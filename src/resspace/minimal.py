@@ -239,9 +239,31 @@ def _clause_universe(max_vars):
     return universe, masks, [_var_mask(c) for c in universe]
 
 
+def _narrowest_starts(universe, w, negated):
+    """Cover walks from orbit representatives of width w, as (first,
+    excluded) for accel._cover_dfs: per count j in ``negated``, first is the
+    clause x1 v ... v x_{w-j} v ~x_{w-j+1} v ... v ~x_w, and excluded is the
+    bit set of the clauses narrower than w."""
+    excluded = sum(1 << i for i, c in enumerate(universe) if len(c.lits) < w)
+    return [
+        (universe.index(Clause([*range(1, w - j + 1), *range(-w, j - w)])), excluded)
+        for j in negated
+    ]
+
+
 def _enumerate_cnf(max_vars, max_formulas):
+    """The classes of the irredundant covers under renaming.  Each class
+    holds a gap-free cover that contains one of the representatives of
+    _narrowest_starts and no narrower clause: rename a narrowest clause's
+    positive variables onto 1..w-j, its negative ones onto w-j+1..w, and
+    the other used variables onto w+1.., so those walks reach every class."""
     universe, masks, var_masks = _clause_universe(max_vars)
-    covers = accel.cover_enumeration(masks, 1 << max_vars, max_formulas)
+    starts = [
+        start
+        for w in range(1, max_vars + 1)
+        for start in _narrowest_starts(universe, w, range(w + 1))
+    ]
+    covers = accel.cover_enumeration(masks, 1 << max_vars, max_formulas, starts)
     for best in _canonical_classes(
         universe, covers, var_masks, lambda c, p: Clause(_renamed_lits(c.lits, p))
     ):
@@ -264,18 +286,18 @@ def scan_min_unsat_cnf(max_vars: int, max_formulas: int):
     """
     _check_limits(max_vars, max_formulas)
     universe, masks, var_masks = _clause_universe(max_vars)
-    widths = [len(c.lits) for c in universe]
     count = violations = 0
     by_size = [0] * (max_formulas + 2)
     max_vars_by_size = [0] * (max_formulas + 2)
     for w in range(1, max_vars + 1):
+        [(first, excluded)] = _narrowest_starts(universe, w, [0])
         n, bad, sizes, most = accel.cover_scan(
             masks,
             var_masks,
             1 << max_vars,
             max_formulas,
-            first=universe.index(Clause(range(1, w + 1))),
-            excluded=sum(1 << i for i, width in enumerate(widths) if width < w),
+            first=first,
+            excluded=excluded,
             orbit=math.comb(max_vars, w) << w,
         )
         count += n

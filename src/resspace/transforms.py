@@ -27,6 +27,9 @@ from .proofs import (
 def _require_resolution(deriv: Derivation, allow_weakening: bool):
     if deriv.k != 1 or deriv.mode != SYNTACTIC:
         raise InvalidInputError("expected a syntactic resolution derivation")
+    if deriv.assumptions:
+        # the transforms rebuild a derivation from its downloads alone
+        raise InvalidInputError("expected a derivation without assumptions")
     allowed = {"cut", "weak"} if allow_weakening else {"cut"}
     for i, step in enumerate(deriv.steps):
         if not isinstance(step, Inference):

@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 
 from resspace.boolfunc import BooleanFunction, SubstitutionVarMap
-from resspace.logic import KDnfFormula, Term, assignment_from_bits, implies
-from resspace.minimal import _gap_free_mask
+from resspace.logic import Clause, KDnfFormula, Term, assignment_from_bits, implies
+from resspace.minimal import _clause_universe, _gap_free_mask, _renamed_lits
 
 
 def all_assignments(variables):
@@ -151,6 +151,19 @@ def cover_dfs(masks, npoints, max_cubes, visit):
             tried.append(c)
 
     rec(0, 0, [], frozenset())
+
+
+def enumerate_cnf(max_vars, max_formulas):
+    """The k = 1 enumeration as it was before it walked from orbit
+    representatives: every labelled irredundant cover of the clause
+    universe, folded into its classes under renaming."""
+    universe, masks, var_masks = _clause_universe(max_vars)
+    covers = []
+    cover_dfs(masks, 1 << max_vars, max_formulas, lambda c: covers.append(tuple(c)))
+    classes = canonical_classes(
+        universe, covers, var_masks, lambda c, p: Clause(_renamed_lits(c.lits, p))
+    )
+    return [tuple(KDnfFormula.from_clause(universe[i]) for i in best) for best in classes]
 
 
 # The minimality checker as it was before one sweep answered every shrink:

@@ -287,6 +287,22 @@ def test_cover_enumeration_output_limit_is_a_cap_error(monkeypatch):
         next(covers)
 
 
+def test_cover_enumeration_walks_its_starts_in_turn_under_one_cap(monkeypatch):
+    # the covers of each (first, excluded) start, sorted, one start after
+    # the other; the cover cap counts them all
+    masks, _, npoints = _clause_universe(2)
+    starts = [(0, 0), (3, 1 << 0), (None, 0)]
+    want = [tuple(sorted(c)) for s in starts for c in _walked(masks, npoints, 4, *s)]
+    assert list(accel.cover_enumeration(masks, npoints, 4, starts)) == want
+    assert list(accel.cover_enumeration(masks, npoints, 4, [])) == []
+    limit = len(want) - 1
+    monkeypatch.setenv("RESSPACE_UNSAFE_ENUM_COVERS", str(limit))
+    covers = accel.cover_enumeration(masks, npoints, 4, starts)
+    assert list(itertools.islice(covers, limit)) == want[:limit]
+    with pytest.raises(CapExceededError, match=f"more than {limit} covers"):
+        next(covers)
+
+
 def test_unsafe_cap_override(monkeypatch):
     from resspace.caps import get_cap
 

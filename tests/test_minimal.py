@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from resspace import accel
 from resspace.errors import CapExceededError, InvalidParamError, TooManyVariablesError
 from resspace.logic import (
     EMPTY_DNF,
@@ -212,8 +213,36 @@ def test_weighted_scan_matches_the_unweighted_reference_walk(max_vars, max_formu
     assert got == _reference_scan(max_vars, max_formulas)
 
 
+@pytest.mark.parametrize(
+    "max_vars, max_formulas",
+    [(v, m) for v in range(4) for m in range(1, 9)] + [(4, m) for m in range(1, 7)],
+)
+def test_enumerate_cnf_matches_the_labelled_cover_reference(max_vars, max_formulas):
+    # the walks from orbit representatives reach every class that the walk
+    # over all labelled covers reaches, and only those
+    got = list(enumerate_min_unsat(1, max_vars, max_formulas))
+    assert got == reference.enumerate_cnf(max_vars, max_formulas)
+
+
+@pytest.mark.parametrize("caps, walked", [((4, 6), 45_897), ((2, 3), 8)])
+def test_enumerate_cnf_walks_only_the_representative_covers(caps, walked, monkeypatch):
+    # every labelled cover would be 126,058 at (4, 6) and 10 at (2, 3)
+    count = 0
+    enumeration = accel.cover_enumeration
+
+    def counting(*args):
+        nonlocal count
+        for cover in enumeration(*args):
+            count += 1
+            yield cover
+
+    monkeypatch.setattr(accel, "cover_enumeration", counting)
+    list(enumerate_min_unsat(1, *caps))
+    assert count == walked
+
+
 def test_enumerate_cnf_streams_its_covers():
-    # the 126,058 labelled covers go to canonicalisation a block at a time,
+    # the 45,897 covers walked go to canonicalisation a block at a time,
     # never as one list
     tracemalloc.start()
     try:

@@ -435,13 +435,13 @@ def test_black_search_state_budget_matches_reference(name, monkeypatch):
 
 
 @st.composite
-def _small_dags(draw):
-    """DAGs on up to 7 vertices, each vertex with up to two predecessors
-    among the lower ones, and a single sink.  Every vertex but the last
-    first gets one successor with a free slot, so no draw is filtered out
-    (assuming a single sink discarded four draws in five); then each vertex
-    may gain more predecessors."""
-    n = draw(st.integers(1, 7))
+def _small_dags(draw, low=1, high=7):
+    """DAGs on ``low`` to ``high`` vertices, each vertex with up to two
+    predecessors among the lower ones, and a single sink.  Every vertex but
+    the last first gets one successor with a free slot, so no draw is
+    filtered out (assuming a single sink discarded four draws in five); then
+    each vertex may gain more predecessors."""
+    n = draw(st.integers(low, high))
     preds = {v: set() for v in range(1, n + 1)}
     for u in range(n - 1, 0, -1):
         free = [v for v in range(u + 1, n + 1) if len(preds[v]) < 2]
@@ -489,6 +489,22 @@ def test_searches_match_references_on_drawn_dags(g):
         assert _search(g, s, "black_white") == (found, want)
         with pytest.MonkeyPatch.context() as mp:
             _check_black_state_budget(g, s, mp)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_dags(8, 13))
+def test_black_search_matches_reference_on_drawn_dags_of_several_words(g):
+    # 8 to 13 vertices hold their levels in 4 to 128 words, so the moves
+    # that shift whole words clip their slices at both ends of a level's
+    # span, and a level's span grows and shrinks from one level to the next
+    validate_dag(g)
+    for s in range(g.n + 2):
+        found, want = _reference_black_search(g, s)
+        if found:
+            assert search_min_time_given_space(g, s, "black") == (len(want), want)
+        else:
+            with pytest.raises(InfeasibleError):
+                search_min_time_given_space(g, s, "black")
 
 
 # ---------------------------------------------------------------------------

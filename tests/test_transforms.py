@@ -238,6 +238,23 @@ def test_transforms_reject_empty_term_lines():
         eliminate_weakening(b.build())
 
 
+@pytest.mark.parametrize("transform", [eliminate_weakening, make_frugal, is_frugal])
+def test_transforms_reject_seeded_derivations(transform):
+    # a board seeded with x1 refutes ~x1 in one cut; no download grounds x1
+    from resspace.logic import KDnfFormula
+
+    seeded = Derivation(
+        CnfFormula([[-1]]),
+        1,
+        "syntactic",
+        (AxiomDownload(Clause([-1])), Inference(zero_formula(1), "cut", (1, 2))),
+        assumptions=(KDnfFormula.from_clause(Clause([1])),),
+    )
+    assert check_refutation(seeded.formula, seeded).length == 2
+    with pytest.raises(InvalidInputError, match="without assumptions"):
+        transform(seeded)
+
+
 @pytest.mark.parametrize(
     "graph, fspec, weak_digest, frugal_digest",
     [
