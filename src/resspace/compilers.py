@@ -44,7 +44,7 @@ from .errors import (
 from .graphs import Dag
 from .logic import Clause, CnfFormula, KDnfFormula, Term, implies
 from .pebbling import require_black, validate_pebbling
-from .proofs import SYNTACTIC, Derivation, DerivationBuilder, derive_implied_clause
+from .proofs import SYNTACTIC, Derivation, DerivationBuilder, derive_implied_clauses
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,17 @@ def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Deriv
         if not dag.predecessors(v):
             board[v] = {c: builder.download(c) for c in axioms}
             return
-        bindings = {}
+        bound = {}
         for u in dag.predecessors(v):
-            bindings.update(board[u])
-        # axiom clauses stay unbound: each fragment downloads them at its
-        # leaves and erases them right after use, keeping the board small
-        premises = list(axioms) + list(bindings)
-        derived = {}
-        for target in substitute_clause(Clause([v]), f):
+            bound.update(board[u])
+        # axiom clauses stay unbound: each target's derivation downloads them
+        # at its leaves and erases them right after use, keeping the board small
+        premises = CnfFormula(list(axioms) + list(bound))
+        targets = substitute_clause(Clause([v]), f)
+        for target in targets:
             assert target not in premises, "goal clause cannot be a premise"
-            frag = derive_implied_clause(premises, target)
-            idmap = builder.inline(frag, bindings)
-            derived[target] = idmap[max(idmap)]
-        board[v] = derived
+        ids = derive_implied_clauses(builder, premises, targets, bound)
+        board[v] = dict(zip(targets, ids))
 
     for move in moves:
         v = move.vertex
@@ -150,10 +148,8 @@ def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Deriv
                 builder.erase(i)
 
     z = dag.sink
-    sink_clauses = substitute_clause(sink_axiom(z), f)
-    bindings = dict(board[z])
-    frag = derive_implied_clause(list(sink_clauses) + list(bindings), Clause())
-    builder.inline(frag, bindings)
+    premises = CnfFormula(list(substitute_clause(sink_axiom(z), f)) + list(board[z]))
+    derive_implied_clauses(builder, premises, [Clause()], board[z])
     # leave exactly the empty clause on the board
     for i in board.pop(z).values():
         builder.erase(i)

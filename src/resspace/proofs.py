@@ -1,6 +1,7 @@
 """k-DNF resolution derivations: step legality (syntactic and semantic),
 replay, the five measures, and the implicationally-complete clause
-derivation used as a building block by the compilers.
+derivation that the resolution compiler writes into its proof's builder
+for every pebbled vertex.
 
 A derivation is a sequence of steps over configurations ("the blackboard"):
 axiom downloads add a clause of the target CNF as a 1-DNF line, inferences
@@ -397,12 +398,11 @@ def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:
 
 
 class DerivationBuilder:
-    """Step/id bookkeeping for the proof compilers; it builds syntactic
-    derivations.
+    """Step/id bookkeeping for the proof compilers and transforms; it builds
+    syntactic derivations.
 
-    The builder tracks live line values alongside ids so callers can splice
-    in derivation fragments with their downloads bound to lines already on
-    the board.
+    The builder tracks live line values alongside ids, so that callers can
+    read a line back and derive from lines already on the board.
     """
 
     def __init__(self, formula: CnfFormula, k: int = 1):
@@ -441,118 +441,118 @@ class DerivationBuilder:
     def clause_value(self, line_id: int) -> Clause:
         return self.live[line_id].as_clause()
 
-    def inline(self, fragment: Derivation, bindings: dict[Clause, int]) -> dict:
-        """Splice a fragment's steps, binding its downloads of clauses in
-        ``bindings`` to existing board lines (those are borrowed: their
-        erasures inside the fragment are dropped).  Returns the id map."""
-        idmap = {}
-        borrowed = set()
-        frag_next = 1
-        for step in fragment.steps:
-            if isinstance(step, AxiomDownload):
-                fid = frag_next
-                frag_next += 1
-                if step.clause in bindings:
-                    idmap[fid] = bindings[step.clause]
-                    borrowed.add(fid)
-                else:
-                    idmap[fid] = self.download(step.clause)
-            elif isinstance(step, Inference):
-                fid = frag_next
-                frag_next += 1
-                idmap[fid] = self.infer(
-                    step.rule, [idmap[p] for p in step.premises], step.formula
-                )
-            else:
-                if step.target in borrowed:
-                    continue
-                self.erase(idmap[step.target])
-        return idmap
-
     def build(self) -> Derivation:
         return Derivation(self.formula, self.k, SYNTACTIC, tuple(self.steps))
 
 
 # ---------------------------------------------------------------------------
-# implicational completeness: deriving an implied clause
+# implicational completeness: deriving implied clauses
+
+
+def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, targets,
+                           bound: dict[Clause, int]) -> list[int]:
+    """Resolution derivations of each target from the premise clauses,
+    appended to the builder in turn; returns the targets' line ids.
+
+    One implication sweep checks every target.  A premise in ``bound`` is
+    read from its line already on the board (clause -> id) and is never
+    erased; the others are downloaded at each leaf that uses them and
+    erased after use.
+
+    Each derivation follows a decision tree that queries variables in
+    ascending order.  The tree branches on each variable in turn; as soon
+    as the partial assignment falsifies a premise clause, that clause
+    becomes a leaf.  Folding the tree bottom-up with resolutions yields the
+    empty clause under the restriction that falsifies the target; lifting
+    the restriction back pairs every leaf with one weakening.  Length stays
+    below 2^(n+1)-1 and total space below n(n+2) for n distinct variables.
+    """
+    targets = list(targets)
+    if not implies(list(premises), targets):
+        raise NotImpliedError(
+            f"premises do not imply {' and '.join(str(t.lits) for t in targets)}"
+        )
+    borrowed = set(bound.values())
+
+    def fetch(clause: Clause) -> int:
+        return bound[clause] if clause in bound else builder.download(clause)
+
+    def release(line_id: int):
+        if line_id not in borrowed:
+            builder.erase(line_id)
+
+    def derive(target: Clause) -> int:
+        if target.lits:
+            rho0 = negating_restriction(target)
+            lift = tuple(target.lits)
+        else:
+            rho0 = None
+            lift = ()
+
+        # restricted premises paired with their originals; satisfied ones drop
+        work = []
+        for c in premises:
+            if rho0 is None:
+                work.append((c, c))
+                continue
+            r = restrict_clause(c, rho0)
+            if r is True:
+                continue
+            work.append((Clause() if r is False else r, c))
+        variables = sorted(set().union(*(set(rc.variables()) for rc, _ in work), set()))
+
+        def leaf(rho: set):
+            """Fetch the first premise falsified by the path (rho holds the
+            literals the path made true); weaken into the lifted form when
+            a restriction is in play."""
+            for rc, orig in work:
+                if all(-l in rho for l in rc.lits):
+                    if rho0 is None:
+                        return fetch(orig), rc
+                    lifted = Clause(rc.lits + lift)
+                    a = fetch(orig)
+                    if lifted == orig:
+                        return a, lifted
+                    w = builder.infer_clause("weak", [a], lifted)
+                    release(a)
+                    return w, lifted
+            raise AssertionError("unsatisfiable restricted set has a falsified clause")
+
+        def grow(rho: set, depth: int):
+            if depth == len(variables):
+                return leaf(rho)
+            for rc, orig in work:  # close the branch as soon as a premise dies
+                if all(-l in rho for l in rc.lits):
+                    return leaf(rho)
+            x = variables[depth]
+            lid, lc = grow(rho | {-x}, depth + 1)
+            if x not in lc:
+                return lid, lc
+            rid, rc_ = grow(rho | {x}, depth + 1)
+            if -x not in rc_:
+                release(lid)
+                return rid, rc_
+            resolvent = Clause(
+                [l for l in lc.lits if l != x] + [l for l in rc_.lits if l != -x]
+            )
+            out = builder.infer_clause("cut", [lid, rid], resolvent)
+            release(lid)
+            release(rid)
+            return out, resolvent
+
+        root_id, root_clause = grow(set(), 0)
+        if root_clause == target:
+            return root_id
+        out = builder.infer_clause("weak", [root_id], target)
+        release(root_id)
+        return out
+
+    return [derive(t) for t in targets]
 
 
 def derive_implied_clause(premises, target: Clause) -> Derivation:
-    """A resolution derivation of ``target`` from the premise clauses, built
-    from a decision tree that queries variables in ascending order.
-
-    The tree branches on each variable in turn; as soon as the partial
-    assignment falsifies a premise clause, that clause becomes a leaf.
-    Folding the tree bottom-up with resolutions yields the empty clause
-    under the restriction that falsifies ``target``; lifting the
-    restriction back pairs every download with one weakening.  Length stays
-    below 2^(n+1)-1 and total space below n(n+2) for n distinct variables.
-    """
-    premises = [c if isinstance(c, Clause) else Clause(c) for c in premises]
-    source = CnfFormula(premises)
-    if not implies(list(source), [target]):
-        raise NotImpliedError(f"premises do not imply {target.lits}")
-    builder = DerivationBuilder(source, k=1)
-    if target.lits:
-        rho0 = negating_restriction(target)
-        lift = tuple(target.lits)
-    else:
-        rho0 = None
-        lift = ()
-
-    # restricted premises paired with their originals; satisfied ones drop
-    work = []
-    for c in source:
-        if rho0 is None:
-            work.append((c, c))
-            continue
-        r = restrict_clause(c, rho0)
-        if r is True:
-            continue
-        work.append((Clause() if r is False else r, c))
-    variables = sorted(set().union(*(set(rc.variables()) for rc, _ in work), set()))
-
-    def leaf(rho: set):
-        """Download the first premise falsified by the path (rho holds the
-        literals the path made true); weaken into the lifted form when a
-        restriction is in play."""
-        for rc, orig in work:
-            if all(-l in rho for l in rc.lits):
-                if rho0 is None:
-                    return builder.download(orig), rc
-                lifted = Clause(rc.lits + lift)
-                a = builder.download(orig)
-                if lifted == orig:
-                    return a, lifted
-                w = builder.infer_clause("weak", [a], lifted)
-                builder.erase(a)
-                return w, lifted
-        raise AssertionError("unsatisfiable restricted set has a falsified clause")
-
-    def grow(rho: set, depth: int):
-        if depth == len(variables):
-            return leaf(rho)
-        for rc, orig in work:  # close the branch as soon as a premise dies
-            if all(-l in rho for l in rc.lits):
-                return leaf(rho)
-        x = variables[depth]
-        lid, lc = grow(rho | {-x}, depth + 1)
-        if x not in lc:
-            return lid, lc
-        rid, rc_ = grow(rho | {x}, depth + 1)
-        if -x not in rc_:
-            builder.erase(lid)
-            return rid, rc_
-        resolvent = Clause(
-            [l for l in lc.lits if l != x] + [l for l in rc_.lits if l != -x]
-        )
-        out = builder.infer_clause("cut", [lid, rid], resolvent)
-        builder.erase(lid)
-        builder.erase(rid)
-        return out, resolvent
-
-    root_id, root_clause = grow(set(), 0)
-    if root_clause != target:
-        builder.infer_clause("weak", [root_id], target)
-        builder.erase(root_id)
+    """``derive_implied_clauses`` of one target on a fresh builder, with
+    every premise downloaded: a standalone derivation."""
+    builder = DerivationBuilder(CnfFormula(premises), k=1)
+    derive_implied_clauses(builder, builder.formula, [target], {})
     return builder.build()

@@ -8,6 +8,7 @@ import itertools
 from resspace.boolfunc import BooleanFunction, SubstitutionVarMap
 from resspace.logic import Clause, KDnfFormula, Term, assignment_from_bits, implies
 from resspace.minimal import _clause_universe, _gap_free_mask, _renamed_lits
+from resspace.proofs import AxiomDownload, Inference
 
 
 def all_assignments(variables):
@@ -189,3 +190,36 @@ def minimally_implies(formulas, goal) -> bool:
                 if implies(shrunk, [goal]):
                     return False
     return True
+
+
+# The resolution compiler's splice, as it was before each target was derived
+# straight into the proof: a fragment derivation copied onto the builder.
+
+
+def inline(builder, fragment, bindings):
+    """Splice a fragment's steps onto the builder, binding its downloads of
+    clauses in ``bindings`` to existing board lines (those are borrowed:
+    their erasures inside the fragment are dropped).  Returns the id map."""
+    idmap = {}
+    borrowed = set()
+    frag_next = 1
+    for step in fragment.steps:
+        if isinstance(step, AxiomDownload):
+            fid = frag_next
+            frag_next += 1
+            if step.clause in bindings:
+                idmap[fid] = bindings[step.clause]
+                borrowed.add(fid)
+            else:
+                idmap[fid] = builder.download(step.clause)
+        elif isinstance(step, Inference):
+            fid = frag_next
+            frag_next += 1
+            idmap[fid] = builder.infer(
+                step.rule, [idmap[p] for p in step.premises], step.formula
+            )
+        else:
+            if step.target in borrowed:
+                continue
+            builder.erase(idmap[step.target])
+    return idmap

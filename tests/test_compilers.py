@@ -253,3 +253,67 @@ def test_rk_compile_arity_three():
         m = check_refutation(pebbling_formula(g, f).cnf, deriv)
         assert deriv.k == 3
         assert m.formula_space <= 2 + (1 << 3) + 20
+
+
+COMPILE_DIGESTS = {
+    ("pyramid:14", "xor:2", "1", "trivial"):
+        "1cb9e9ff5dc7ef163a4f610f6981310feeebda0cb4c3e2f1d5fb94725f51cf5d",
+    ("pyramid:14", "xor:2", "d", "trivial"):
+        "83717b9d0eba1cf918489aaffd7b219b25f2a583795d2c530b43fcf4d2785531",
+    ("pyramid:8", "xor:3", "1", "trivial"):
+        "9ea3d8274a6c9f7b70370820e66de49f85132bad53eca087db19ef72846c5530",
+    ("pyramid:10", "maj:3", "d", "trivial"):
+        "710f842264d992aadeebfd0fcccbeb325d8413cbdd2ade9d7184724f01e36910",
+    ("pyramid:3", "xor:2", "1", "optimal"):
+        "98d1f08a5bc4d8f67608e6c8e86f31378f6d659b0322e10fee8882b7c7f31621",
+    ("pyramid:3", "xor:2", "d", "optimal"):
+        "0c5dd1e8e02acd094821a1e2998940310ebdf88b45ac37b4e7e0099176bfc081",
+    ("bit_reversal:2", "maj:3", "1", "optimal"):
+        "6c5ad5d57d42e5de714584451105ee10d00ea8311ef7b876f9a1f53ae5189a7f",
+    ("bit_reversal:2", "maj:3", "d", "optimal"):
+        "ea38c0181cec7bf4847eaf46e1bf0dfc7f81c36bff8a53cdda400d67a0e28144",
+}
+
+
+@pytest.mark.parametrize("case", list(COMPILE_DIGESTS), ids="/".join)
+def test_compile_outputs_pinned(case):
+    """The proof text both compilers emit, on the benchmark's four long
+    proofs and from optimal black pebblings of two small graphs."""
+    import hashlib
+
+    from resspace.boolfunc import function_by_name
+    from resspace.formats import derivation_to_text
+    from resspace.pebbling import search_min_space
+
+    graph, fspec, k, pebbling = case
+    family, _, param = graph.partition(":")
+    dag = make_graph(family, int(param))
+    name, _, d = fspec.partition(":")
+    f = function_by_name(name, int(d))
+    if pebbling == "trivial":
+        moves = trivial_black_pebbling(dag)
+    else:
+        moves = search_min_space(dag, "black")[1]
+    deriv = (compile_pebbling_rk if k == "d" else compile_pebbling)(dag, moves, f)
+    digest = hashlib.sha256(derivation_to_text(deriv).encode()).hexdigest()
+    assert digest == COMPILE_DIGESTS[case]
+
+
+def test_compile_checks_each_placement_with_one_implication_sweep(monkeypatch):
+    """One sweep checks all the targets of a placement, and one the sink's
+    empty clause; sources are downloaded without a check."""
+    import resspace.proofs as proofs
+    from resspace.boolfunc import function_by_name
+
+    calls = []
+    real = proofs.implies
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(proofs, "implies", counted)
+    dag = make_graph("pyramid", 8)
+    compile_pebbling(dag, trivial_black_pebbling(dag), function_by_name("xor", 3))
+    placements = sum(1 for v in range(1, dag.n + 1) if dag.predecessors(v))
+    assert len(calls) == placements + 1 == 37

@@ -29,12 +29,14 @@ from resspace.proofs import (
     MeasureReport,
     check_refutation,
     derive_implied_clause,
+    derive_implied_clauses,
     match_ande,
     match_andi,
     match_cut,
     replay,
     zero_formula,
 )
+from reference import inline
 
 
 def dnf(terms, k=1):
@@ -341,6 +343,108 @@ def test_derive_bounds_seeded():
         assert log.measures.length <= (1 << (n + 1)) - 1
         assert log.measures.total_space <= n * (n + 2)
         done += 1
+
+
+def _in_place_against_spliced(premises, targets, bound_clauses):
+    """Derive the targets in two ways onto boards that already hold the
+    bound premises: in place, and as one ``derive_implied_clause`` fragment
+    per target spliced by ``reference.inline``.  Both must append the same
+    steps and return the same ids.  Returns the fragments and the bound
+    ids."""
+    formula = CnfFormula(premises)
+    sides = []
+    for _ in range(2):
+        b = DerivationBuilder(formula, k=1)
+        b.erase(b.download(premises[0]))  # bound ids need not start at 1
+        sides.append((b, {c: b.download(c) for c in bound_clauses}))
+    (b1, bound), (b2, _) = sides
+    ids = derive_implied_clauses(b1, formula, targets, bound)
+    frags = [derive_implied_clause(premises, t) for t in targets]
+    spliced = []
+    for frag in frags:
+        idmap = inline(b2, frag, bound)
+        spliced.append(idmap[max(idmap)])
+    assert b1.steps == b2.steps
+    assert ids == spliced
+    assert b1.live == b2.live
+    assert all(i in b1.live for i in bound.values())
+    return frags, bound
+
+
+def _skipped_erasures(frags, bound) -> int:
+    """Erasures, in the fragments, of downloads of bound premises: the ones
+    the in-place derivation leaves out."""
+    count = 0
+    for frag in frags:
+        lines = [s for s in frag.steps if not isinstance(s, Erasure)]
+        bound_ids = {
+            i for i, s in enumerate(lines, 1)
+            if isinstance(s, AxiomDownload) and s.clause in bound
+        }
+        count += sum(isinstance(s, Erasure) and s.target in bound_ids for s in frag.steps)
+    return count
+
+
+@pytest.mark.parametrize(
+    "premises, targets, bound_clauses, skipped",
+    [
+        # a bound premise weakened into its lifted form: the fragment erases
+        # its download after the weakening, the in-place derivation does not
+        ([Clause([1, 2]), Clause([-1])], [Clause([2, 3]), Clause([1, 2, 3])],
+         [Clause([1, 2])], 2),
+        # a bound premise equal to its lifted form is cut as it stands
+        ([Clause([1, 2]), Clause([-1, 2])], [Clause([2])], [Clause([1, 2])], 1),
+        # the empty target, as in the compiler's last derivation
+        ([Clause([1]), Clause([-1, 2]), Clause([-2])], [Clause()],
+         [Clause([1]), Clause([-2])], 2),
+        # repeated premises
+        ([Clause([1, 2]), Clause([-1, 2]), Clause([1, 2]), Clause([-1, 2])],
+         [Clause([2]), Clause([2, -3])], [Clause([-1, 2])], 2),
+    ],
+    ids=["lifted-bound", "bound-as-lifted", "empty-target", "repeated-premises"],
+)
+def test_in_place_derivation_matches_spliced_fragments(
+    premises, targets, bound_clauses, skipped
+):
+    frags, bound = _in_place_against_spliced(premises, targets, bound_clauses)
+    assert _skipped_erasures(frags, bound) == skipped
+
+
+def test_in_place_derivation_matches_spliced_fragments_on_drawn_instances():
+    """Premises over up to 5 variables, several implied targets (weakenings
+    of premises, drawn clauses the premises imply, the empty clause when
+    they are unsatisfiable) and a bound subset of the premises."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    seen = collections.Counter()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        nv = data.draw(st.integers(1, 5))
+        universe = all_clauses_over(range(1, nv + 1), max_width=min(3, nv))
+        premises = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=6))
+        premises += [Clause([1]), Clause([-1])] * data.draw(st.booleans())
+        candidates = data.draw(st.lists(st.sampled_from(universe + [Clause()]), max_size=4))
+        for c in data.draw(st.lists(st.sampled_from(premises), min_size=1, max_size=3)):
+            extra = data.draw(st.lists(st.sampled_from(range(-nv - 1, nv + 2)), max_size=2))
+            candidates.append(Clause(c.lits + tuple(l for l in extra if l)))
+        targets = [
+            t for t in dict.fromkeys(candidates)
+            if not t.is_trivial() and implies(premises, [t])
+        ]
+        bound_clauses = data.draw(st.lists(st.sampled_from(premises), unique=True))
+        frags, bound = _in_place_against_spliced(premises, targets, bound_clauses)
+        seen["skipped erasure"] += _skipped_erasures(frags, bound) > 0
+        seen["empty target"] += Clause() in targets
+        seen["several targets"] += len(targets) > 1
+        seen["repeated premises"] += len(set(premises)) < len(premises)
+
+    check()
+    assert all(seen[key] for key in (
+        "skipped erasure", "empty target", "several targets", "repeated premises"
+    )), seen
 
 
 def test_trace_round_trip():

@@ -26,6 +26,7 @@ ALLOWLIST = {
     "is_frugal": "acceptance criterion 12 checks make_frugal's output with it",
     "derive_dnf_from_cnf": "acceptance criterion 14 builds its k-DNF walk with it",
     "refute_dnf_pair": "acceptance criterion 14 refutes DNF pairs with it",
+    "derive_implied_clause": "acceptance criterion 11 checks its length and space bounds",
     "is_satisfiable": "acceptance criterion 3 compares satisfiability with it",
     "evaluate": "the case-table oracle of the kernel tests and criterion 2",
     "graph_from_text": "reader of the documented graph format",
