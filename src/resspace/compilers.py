@@ -108,10 +108,11 @@ def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Deriv
     contradiction that follows the given complete black pebbling.
 
     Invariant: while v carries a black pebble, every clause of v's
-    substituted positive representation is on the board.  Placements derive
-    those clauses from the predecessors' sets and the freshly downloaded
-    substituted propagation axioms; removals erase them; the final step
-    derives the empty clause from the sink's set and the sink axioms.
+    substituted positive representation is on the board.  Every placement,
+    a source's included, is one ``derive_implied_clauses`` call that derives
+    those clauses from v's substituted axiom clauses and the lines of the
+    predecessors' sets; removals erase them; one last call derives the empty
+    clause from the sink axioms and the sink's set.
     """
     _checked_black(dag, moves)
     f = f or identity_function()
@@ -119,37 +120,30 @@ def compile_pebbling(dag: Dag, moves, f: BooleanFunction | None = None) -> Deriv
     builder = DerivationBuilder(fm.cnf, k=1)
     board: dict[int, dict[Clause, int]] = {}
 
-    def derive_set(v, axiom_clause):
-        axioms = substitute_clause(axiom_clause, f)
-        if not dag.predecessors(v):
-            board[v] = {c: builder.download(c) for c in axioms}
-            return
-        bound = {}
-        for u in dag.predecessors(v):
-            bound.update(board[u])
-        # axiom clauses stay unbound: each target's derivation downloads them
-        # at its leaves and erases them right after use, keeping the board small
-        premises = CnfFormula(list(axioms) + list(bound))
-        targets = substitute_clause(Clause([v]), f)
-        for target in targets:
-            assert target not in premises, "goal clause cannot be a premise"
-        ids = derive_implied_clauses(builder, premises, targets, bound)
-        board[v] = dict(zip(targets, ids))
+    def place(axiom_clause, targets, bound):
+        # the substituted axiom clauses stay unbound: each target's derivation
+        # downloads them at its leaves and erases them right after use,
+        # keeping the board small.  A source's targets are its own axiom
+        # clauses, so each is derived by a single download.
+        premises = CnfFormula(list(substitute_clause(axiom_clause, f)) + list(bound))
+        return derive_implied_clauses(builder, premises, targets, bound)
 
     for move in moves:
         v = move.vertex
         if move.kind == "pb":
-            axiom = (
-                source_axiom(v) if not dag.predecessors(v) else propagation_axiom(dag, v)
-            )
-            derive_set(v, axiom)
+            preds = dag.predecessors(v)
+            axiom = propagation_axiom(dag, v) if preds else source_axiom(v)
+            bound = {}
+            for u in preds:
+                bound.update(board[u])
+            targets = substitute_clause(Clause([v]), f)
+            board[v] = dict(zip(targets, place(axiom, targets, bound)))
         else:
             for i in board.pop(v).values():
                 builder.erase(i)
 
     z = dag.sink
-    premises = CnfFormula(list(substitute_clause(sink_axiom(z), f)) + list(board[z]))
-    derive_implied_clauses(builder, premises, [Clause()], board[z])
+    place(sink_axiom(z), [Clause()], board[z])
     # leave exactly the empty clause on the board
     for i in board.pop(z).values():
         builder.erase(i)
@@ -441,7 +435,7 @@ def compile_pebbling_rk(dag: Dag, moves, f: BooleanFunction) -> Derivation:
     return builder.build()
 
 
-def refute_dnf_pair(d1: KDnfFormula, d2: KDnfFormula, formula=None) -> Derivation:
+def refute_dnf_pair(d1: KDnfFormula, d2: KDnfFormula) -> Derivation:
     """A k-DNF refutation of the contradictory pair {d1, d2}, presented as a
     derivation with the pair as assumptions: every term of d1 is cut away
     using a negated-term clause extracted from d2 by conjunction
@@ -450,7 +444,7 @@ def refute_dnf_pair(d1: KDnfFormula, d2: KDnfFormula, formula=None) -> Derivatio
     d1, d2 = d1.with_k(k), d2.with_k(k)
     if not implies([d1, d2], [KDnfFormula((), k=k)]):
         raise NotImpliedError("the pair is satisfiable")
-    builder = DerivationBuilder(formula or CnfFormula([]), k=k)
+    builder = DerivationBuilder(CnfFormula([]), k=k)
     a1 = builder._new_id(d1)
     a2 = builder._new_id(d2)
     out = cut_away_terms(builder, a1, d1.terms, a2)

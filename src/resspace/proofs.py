@@ -459,13 +459,15 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
     erased; the others are downloaded at each leaf that uses them and
     erased after use.
 
-    Each derivation follows a decision tree that queries variables in
-    ascending order.  The tree branches on each variable in turn; as soon
-    as the partial assignment falsifies a premise clause, that clause
-    becomes a leaf.  Folding the tree bottom-up with resolutions yields the
-    empty clause under the restriction that falsifies the target; lifting
-    the restriction back pairs every leaf with one weakening.  Length stays
-    below 2^(n+1)-1 and total space below n(n+2) for n distinct variables.
+    Each derivation follows a decision tree over the premises restricted by
+    the target's negation (for the empty target, the empty restriction).
+    The tree queries variables in ascending order; as soon as the path
+    falsifies a restricted premise, the first such premise becomes a leaf,
+    lifted back by one weakening into the restricted clause joined with the
+    target (none when that is the premise itself).  Folding the tree
+    bottom-up with resolutions cuts only variables outside the target, so
+    the root clause is the target.  Length stays below 2^(n+1)-1 and total
+    space below n(n+2) for n distinct variables.
     """
     targets = list(targets)
     if not implies(list(premises), targets):
@@ -482,48 +484,27 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
             builder.erase(line_id)
 
     def derive(target: Clause) -> int:
-        if target.lits:
-            rho0 = negating_restriction(target)
-            lift = tuple(target.lits)
-        else:
-            rho0 = None
-            lift = ()
-
+        rho0 = negating_restriction(target)
         # restricted premises paired with their originals; satisfied ones drop
         work = []
         for c in premises:
-            if rho0 is None:
-                work.append((c, c))
-                continue
             r = restrict_clause(c, rho0)
-            if r is True:
-                continue
-            work.append((Clause() if r is False else r, c))
+            if r is not True:
+                work.append((Clause() if r is False else r, c))
         variables = sorted(set().union(*(set(rc.variables()) for rc, _ in work), set()))
 
-        def leaf(rho: set):
-            """Fetch the first premise falsified by the path (rho holds the
-            literals the path made true); weaken into the lifted form when
-            a restriction is in play."""
+        def grow(rho: set, depth: int):
+            # rho holds the literals the path made true; the implication
+            # sweep guarantees a falsified premise before the path is full
             for rc, orig in work:
                 if all(-l in rho for l in rc.lits):
-                    if rho0 is None:
-                        return fetch(orig), rc
-                    lifted = Clause(rc.lits + lift)
+                    lifted = Clause(rc.lits + target.lits)
                     a = fetch(orig)
                     if lifted == orig:
                         return a, lifted
                     w = builder.infer_clause("weak", [a], lifted)
                     release(a)
                     return w, lifted
-            raise AssertionError("unsatisfiable restricted set has a falsified clause")
-
-        def grow(rho: set, depth: int):
-            if depth == len(variables):
-                return leaf(rho)
-            for rc, orig in work:  # close the branch as soon as a premise dies
-                if all(-l in rho for l in rc.lits):
-                    return leaf(rho)
             x = variables[depth]
             lid, lc = grow(rho | {-x}, depth + 1)
             if x not in lc:
@@ -541,11 +522,9 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
             return out, resolvent
 
         root_id, root_clause = grow(set(), 0)
-        if root_clause == target:
-            return root_id
-        out = builder.infer_clause("weak", [root_id], target)
-        release(root_id)
-        return out
+        # every leaf carries the target and no cut removes a target literal
+        assert root_clause == target, "the root clause is the target"
+        return root_id
 
     return [derive(t) for t in targets]
 

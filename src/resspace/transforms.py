@@ -111,9 +111,9 @@ def make_frugal(deriv: Derivation) -> Derivation:
 
     Backward pass from the first empty-clause configuration: keep an
     inference only if its conclusion is still needed, replacing it by its
-    premises; keep a download only if its clause is needed.  Forward
-    emission inserts the inference and immediately erases premises that are
-    no longer wanted, then elides no-op steps.
+    premises, and note which premises no later step needs; keep a download
+    only if its clause is needed.  Forward emission inserts the inference
+    and immediately erases the premises so noted.
     """
     log = _resolution_log(deriv)
     s = log.first_zero
@@ -130,7 +130,9 @@ def make_frugal(deriv: Derivation) -> Derivation:
             d = ev.formula
             if d in cur:
                 c1, c2 = ev.premise_values
-                ops_rev.append(("infer", d, c1, c2, frozenset(cur)))
+                # the premises no later step needs (cur still holds d)
+                last_use = sorted({c1, c2} - cur, key=lambda f: f.terms)
+                ops_rev.append(("infer", d, c1, c2, last_use))
                 cur.discard(d)
                 cur.add(c1)
                 cur.add(c2)
@@ -145,11 +147,10 @@ def make_frugal(deriv: Derivation) -> Derivation:
             line = op[1]
             ids[line] = out.download(line.as_clause())
         else:
-            _, d, c1, c2, after = op
+            _, d, c1, c2, last_use = op
             ids[d] = out.infer("cut", [ids[c1], ids[c2]], d)
-            for premise in sorted({c1, c2}, key=lambda f: f.terms):
-                if premise not in after and premise != d:
-                    out.erase(ids.pop(premise))
+            for premise in last_use:
+                out.erase(ids.pop(premise))
     return out.build()
 
 

@@ -6,9 +6,19 @@ from __future__ import annotations
 import itertools
 
 from resspace.boolfunc import BooleanFunction, SubstitutionVarMap
-from resspace.logic import Clause, KDnfFormula, Term, assignment_from_bits, implies
+from resspace.errors import NotImpliedError
+from resspace.logic import (
+    Clause,
+    CnfFormula,
+    KDnfFormula,
+    Term,
+    assignment_from_bits,
+    implies,
+    negating_restriction,
+    restrict_clause,
+)
 from resspace.minimal import _clause_universe, _gap_free_mask, _renamed_lits
-from resspace.proofs import AxiomDownload, Inference
+from resspace.proofs import AxiomDownload, DerivationBuilder, Inference
 
 
 def all_assignments(variables):
@@ -223,3 +233,109 @@ def inline(builder, fragment, bindings):
                 continue
             builder.erase(idmap[step.target])
     return idmap
+
+
+# The in-place implied-clause derivation as it was before it had one leaf
+# rule: the empty target derived without a restriction, a separate leaf
+# scan, and a final weakening of the root clause into the target.
+
+
+def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, targets,
+                           bound: dict[Clause, int]) -> list[int]:
+    """Resolution derivations of each target from the premise clauses,
+    appended to the builder in turn; returns the targets' line ids.
+
+    One implication sweep checks every target.  A premise in ``bound`` is
+    read from its line already on the board (clause -> id) and is never
+    erased; the others are downloaded at each leaf that uses them and
+    erased after use.
+
+    Each derivation follows a decision tree that queries variables in
+    ascending order.  The tree branches on each variable in turn; as soon
+    as the partial assignment falsifies a premise clause, that clause
+    becomes a leaf.  Folding the tree bottom-up with resolutions yields the
+    empty clause under the restriction that falsifies the target; lifting
+    the restriction back pairs every leaf with one weakening.  Length stays
+    below 2^(n+1)-1 and total space below n(n+2) for n distinct variables.
+    """
+    targets = list(targets)
+    if not implies(list(premises), targets):
+        raise NotImpliedError(
+            f"premises do not imply {' and '.join(str(t.lits) for t in targets)}"
+        )
+    borrowed = set(bound.values())
+
+    def fetch(clause: Clause) -> int:
+        return bound[clause] if clause in bound else builder.download(clause)
+
+    def release(line_id: int):
+        if line_id not in borrowed:
+            builder.erase(line_id)
+
+    def derive(target: Clause) -> int:
+        if target.lits:
+            rho0 = negating_restriction(target)
+            lift = tuple(target.lits)
+        else:
+            rho0 = None
+            lift = ()
+
+        # restricted premises paired with their originals; satisfied ones drop
+        work = []
+        for c in premises:
+            if rho0 is None:
+                work.append((c, c))
+                continue
+            r = restrict_clause(c, rho0)
+            if r is True:
+                continue
+            work.append((Clause() if r is False else r, c))
+        variables = sorted(set().union(*(set(rc.variables()) for rc, _ in work), set()))
+
+        def leaf(rho: set):
+            """Fetch the first premise falsified by the path (rho holds the
+            literals the path made true); weaken into the lifted form when
+            a restriction is in play."""
+            for rc, orig in work:
+                if all(-l in rho for l in rc.lits):
+                    if rho0 is None:
+                        return fetch(orig), rc
+                    lifted = Clause(rc.lits + lift)
+                    a = fetch(orig)
+                    if lifted == orig:
+                        return a, lifted
+                    w = builder.infer_clause("weak", [a], lifted)
+                    release(a)
+                    return w, lifted
+            raise AssertionError("unsatisfiable restricted set has a falsified clause")
+
+        def grow(rho: set, depth: int):
+            if depth == len(variables):
+                return leaf(rho)
+            for rc, orig in work:  # close the branch as soon as a premise dies
+                if all(-l in rho for l in rc.lits):
+                    return leaf(rho)
+            x = variables[depth]
+            lid, lc = grow(rho | {-x}, depth + 1)
+            if x not in lc:
+                return lid, lc
+            rid, rc_ = grow(rho | {x}, depth + 1)
+            if -x not in rc_:
+                release(lid)
+                return rid, rc_
+            resolvent = Clause(
+                [l for l in lc.lits if l != x] + [l for l in rc_.lits if l != -x]
+            )
+            out = builder.infer_clause("cut", [lid, rid], resolvent)
+            release(lid)
+            release(rid)
+            return out, resolvent
+
+        root_id, root_clause = grow(set(), 0)
+        if root_clause == target:
+            return root_id
+        out = builder.infer_clause("weak", [root_id], target)
+        release(root_id)
+        return out
+
+    return [derive(t) for t in targets]

@@ -36,7 +36,7 @@ from resspace.proofs import (
     replay,
     zero_formula,
 )
-from reference import inline
+from reference import derive_implied_clauses as reference_derive_implied_clauses, inline
 
 
 def dnf(terms, k=1):
@@ -346,27 +346,29 @@ def test_derive_bounds_seeded():
 
 
 def _in_place_against_spliced(premises, targets, bound_clauses):
-    """Derive the targets in two ways onto boards that already hold the
-    bound premises: in place, and as one ``derive_implied_clause`` fragment
-    per target spliced by ``reference.inline``.  Both must append the same
-    steps and return the same ids.  Returns the fragments and the bound
-    ids."""
+    """Derive the targets in three ways onto boards that already hold the
+    bound premises: in place; as one ``derive_implied_clause`` fragment per
+    target spliced by ``reference.inline``; and by the reference walk,
+    ``reference.derive_implied_clauses``, in place.  All three must append
+    the same steps, return the same ids and leave the same board.  Returns
+    the fragments and the bound ids."""
     formula = CnfFormula(premises)
     sides = []
-    for _ in range(2):
+    for _ in range(3):
         b = DerivationBuilder(formula, k=1)
         b.erase(b.download(premises[0]))  # bound ids need not start at 1
         sides.append((b, {c: b.download(c) for c in bound_clauses}))
-    (b1, bound), (b2, _) = sides
+    (b1, bound), (b2, _), (b3, _) = sides
     ids = derive_implied_clauses(b1, formula, targets, bound)
     frags = [derive_implied_clause(premises, t) for t in targets]
     spliced = []
     for frag in frags:
         idmap = inline(b2, frag, bound)
         spliced.append(idmap[max(idmap)])
-    assert b1.steps == b2.steps
-    assert ids == spliced
-    assert b1.live == b2.live
+    walked = reference_derive_implied_clauses(b3, formula, targets, bound)
+    assert b1.steps == b2.steps == b3.steps
+    assert ids == spliced == walked
+    assert b1.live == b2.live == b3.live
     assert all(i in b1.live for i in bound.values())
     return frags, bound
 
@@ -400,8 +402,12 @@ def _skipped_erasures(frags, bound) -> int:
         # repeated premises
         ([Clause([1, 2]), Clause([-1, 2]), Clause([1, 2]), Clause([-1, 2])],
          [Clause([2]), Clause([2, -3])], [Clause([-1, 2])], 2),
+        # targets equal to unbound premises, as in a source's placement: each
+        # is a single download
+        ([Clause([1, 2]), Clause([-1, -2])], [Clause([1, 2]), Clause([-1, -2])], [], 0),
     ],
-    ids=["lifted-bound", "bound-as-lifted", "empty-target", "repeated-premises"],
+    ids=["lifted-bound", "bound-as-lifted", "empty-target", "repeated-premises",
+         "unbound-premise-target"],
 )
 def test_in_place_derivation_matches_spliced_fragments(
     premises, targets, bound_clauses, skipped
@@ -440,10 +446,14 @@ def test_in_place_derivation_matches_spliced_fragments_on_drawn_instances():
         seen["empty target"] += Clause() in targets
         seen["several targets"] += len(targets) > 1
         seen["repeated premises"] += len(set(premises)) < len(premises)
+        seen["unbound premise target"] += any(
+            t in premises and t not in bound for t in targets
+        )
 
     check()
     assert all(seen[key] for key in (
-        "skipped erasure", "empty target", "several targets", "repeated premises"
+        "skipped erasure", "empty target", "several targets", "repeated premises",
+        "unbound premise target",
     )), seen
 
 

@@ -294,3 +294,27 @@ def test_transform_outputs_pinned_on_translated_refutations(
         return hashlib.sha256(derivation_to_text(deriv).encode()).hexdigest()
 
     assert (digest(weak), digest(frugal)) == (weak_digest, frugal_digest)
+
+
+def test_make_frugal_memory_follows_the_board_not_the_length():
+    """The backward pass records, per kept inference, only the premises
+    whose last use it is, not a snapshot of the needed clauses."""
+    import tracemalloc
+
+    from resspace.boolfunc import function_by_name
+    from resspace.compilers import compile_pebbling
+    from resspace.graphs import make_graph
+    from resspace.pebbling import trivial_black_pebbling
+
+    dag = make_graph("pyramid", 14)
+    compiled = compile_pebbling(dag, trivial_black_pebbling(dag), function_by_name("xor", 2))
+    deriv = eliminate_weakening(compiled)
+    assert len(deriv.steps) == 5529
+    tracemalloc.start()
+    try:
+        out = make_frugal(deriv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.steps) == 5529
+    assert peak < 3.5e6
