@@ -51,7 +51,7 @@ from .pebbling import (
     validate_pebbling,
 )
 from .projection import extract_pebbling, project_invariant_audit, shared_projector
-from .proofs import check_refutation, replay
+from .proofs import check_refutation, walk
 
 USAGE_EXIT, FAIL_EXIT, CAP_EXIT = 2, 1, 3
 
@@ -196,9 +196,8 @@ def cmd_project(args):
     with open(args.proof) as fh:
         deriv = derivation_from_text(fh.read(), subbed)
     projector = shared_projector(base, f)
-    projector._check_caps(0, args.mode)  # the base cap, before replaying
-    for t, _, cfg in replay(deriv).walk():
-        projected = projector.project_board(cfg, mode=args.mode)
+    for t, _, board in walk(deriv):
+        projected = projector.project_board(board.values(), mode=args.mode)
         shown = " ".join(
             "0" if not c.lits else "|".join(str(l) for l in c.lits)
             for c in sorted(projected)

@@ -64,7 +64,7 @@ from .errors import (
 )
 from .logic import Clause, CnfFormula, KDnfFormula, _row
 from .pebbling import Move, validate_pebbling
-from .proofs import Derivation, DerivationBuilder, replay
+from .proofs import Derivation, DerivationBuilder, walk, zero_formula
 from .transforms import eliminate_weakening, make_frugal
 
 _SUB_VAR_CAP = 18
@@ -298,10 +298,7 @@ def translate_refutation(
             f"translation handles resolution (k=1) refutations only, not k={deriv.k}"
         )
     projector = shared_projector(base_formula, f)
-    projector._check_caps(0, "subset")  # the base cap, before replaying
-    log = replay(deriv)
-    if not log.refuted:
-        raise InvalidInputError("input does not refute the substituted formula")
+    projector._check_caps(0, "subset")  # the base cap, before walking
     axmap = _axiom_of(base_formula, f)
     out = DerivationBuilder(base_formula, k=1)
     board: dict[Clause, int] = {}
@@ -357,11 +354,14 @@ def translate_refutation(
         assert cur_clause == c, "resolve schedule missed the projected clause"
         return cur_id
 
-    zero = Clause()
-    for t, ev, cfg in log.walk():
-        if not t:
-            continue  # the seeded board of a CNF refutation is empty
-        cur = projector.project_board(cfg, mode="subset")
+    zero, empty_line, refuted = Clause(), zero_formula(1), False
+    for t, ev, config in walk(deriv):
+        refuted = refuted or empty_line in config.multiplicity
+        if not t or zero in prev:
+            # the seeded board of a CNF refutation is empty; past the first
+            # projected empty clause the steps are only checked
+            continue
+        cur = projector.project_board(config.values(), mode="subset")
         sequence.append(cur)
         added = sorted(cur - prev)
         removed = sorted(prev - cur)
@@ -387,8 +387,8 @@ def translate_refutation(
             if axiom_id is not None and not keep_axiom:
                 out.erase(axiom_id)
         prev = cur
-        if zero in cur:
-            break
+    if not refuted:
+        raise InvalidInputError("input does not refute the substituted formula")
     if zero not in prev:
         raise AssertionError("projected sequence never reaches the empty clause")
     return TranslationResult(out.build(), tuple(sequence))
@@ -431,7 +431,6 @@ def extract_pebbling(
         base = pebbling_formula(dag, f).base
         base_deriv = translate_refutation(deriv, base, f).derivation
     frugal = make_frugal(eliminate_weakening(base_deriv))
-    log = replay(frugal)
 
     moves = []
     black: set[int] = set()
@@ -458,16 +457,18 @@ def extract_pebbling(
             moves.append(Move("rw", v))
         black, white = set(new_black), set(new_white)
 
-    for t, ev, cfg in log.walk():
+    frugal_variable_space = 0
+    for t, ev, board in walk(frugal):
         if not t:
             continue
         pos = set()
         neg = set()
-        for line in cfg:
+        for line in board.values():
             for term in line.terms:
                 for l in term.lits:
                     (pos if l > 0 else neg).add(abs(l))
         variables = pos | neg
+        frugal_variable_space = max(frugal_variable_space, len(variables))
         new_black = (variables & black) | pos
         new_white = variables - new_black
         if z_locked:
@@ -485,7 +486,7 @@ def extract_pebbling(
         moves=tuple(moves),
         time=metrics.time,
         space=metrics.space,
-        frugal_variable_space=log.measures.variable_space,
+        frugal_variable_space=frugal_variable_space,
     )
 
 
@@ -516,12 +517,12 @@ def project_invariant_audit(
         )
     projector = shared_projector(base_formula, f)
     mode = "subset" if deriv.k == 1 else "whole_set"
-    projector._check_caps(0, mode)  # the base cap, before replaying
-    log = replay(deriv)
+    projector._check_caps(0, mode)  # the base cap, before walking
     varmap = SubstitutionVarMap(f.d)
     violations = []
     audited = configurations = 0
-    for t, _, cfg in log.walk():
+    for t, _, board in walk(deriv):
+        cfg = board.values()
         configurations += 1
         if not cfg:
             continue

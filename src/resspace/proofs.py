@@ -10,10 +10,11 @@ Lines added by downloads and inferences get stable ids in arrival order;
 erasures name the id.  Configurations are sets of formulas: measures are
 computed over distinct line values, and ids are bookkeeping only.
 
-Replay checks each step against the board and then applies it; one
-applier serves replay and ``ReplayLog.walk``, which applies the checked
-steps again on a fresh board.  The log keeps the measures, not the steps'
-events, so checking holds memory for the board, not for the length.
+``walk`` is the one loop over a derivation's steps: it checks each step
+against the board, applies it and hands the live board to its reader, so
+every reader reads the proof once.  ``replay`` folds the walk into the
+measures; it keeps neither the steps' events nor the boards, so checking
+holds memory for the board, not for the length.
 
 Syntactic rules (lines are k-DNFs; T, T' terms; a_i literals):
 
@@ -249,27 +250,14 @@ def _seeded(deriv: Derivation) -> Configuration:
 
 @dataclass
 class ReplayLog:
-    """The outcome of a replay.  It keeps no record of the steps: ``walk``
-    applies them again."""
+    """The outcome of a replay.  It keeps no record of the steps."""
 
-    derivation: Derivation
     measures: MeasureReport
     first_zero: int | None  # index of the first configuration containing 0
 
     @property
     def refuted(self) -> bool:
         return self.first_zero is not None
-
-    def walk(self):
-        """The boards one at a time, as frozensets of line values: (0, None,
-        the seeded board), then (t, event of step t, the board after it) for
-        t = 1, 2, ...  Each walk applies the checked steps to a fresh board
-        and keeps none of the boards it yields."""
-        deriv = self.derivation
-        config = _seeded(deriv)
-        yield 0, None, config.values()
-        for t, step in enumerate(deriv.steps, 1):
-            yield t, _apply(config, step, deriv.k), config.values()
 
 
 def _check_inference(deriv: Derivation, config: Configuration, step, index: int):
@@ -354,22 +342,34 @@ def _apply(config: Configuration, step, k: int) -> ReplayEvent:
     return ReplayEvent("erase", step.target, config.pop(step.target))
 
 
-def replay(deriv: Derivation) -> ReplayLog:
-    """Check and apply every step, folding each into the measures; the log
-    holds memory for the largest board, not for every step."""
+def walk(deriv: Derivation):
+    """The boards one at a time: (0, None, the seeded board), then (t, event
+    of step t, the board after it) for t = 1, 2, ...  Each step is checked
+    before it is applied, so an illegal step raises once every board before
+    it has been yielded.  The board is the live configuration: read it
+    before the walk advances, and keep ``board.values()``."""
     config = _seeded(deriv)
-    zero = zero_formula(deriv.k)
-    first_zero = 0 if zero in config.multiplicity else None
-    length = downloads = 0
+    yield 0, None, config
     for index, step in enumerate(deriv.steps):
         _check_step(deriv, config, step, index)
-        ev = _apply(config, step, deriv.k)
+        yield index + 1, _apply(config, step, deriv.k), config
+
+
+def replay(deriv: Derivation) -> ReplayLog:
+    """Fold the walk into the measures; the log holds memory for the
+    largest board, not for every step."""
+    zero = zero_formula(deriv.k)
+    boards = walk(deriv)
+    _, _, config = next(boards)
+    first_zero = 0 if zero in config.multiplicity else None
+    length = downloads = 0
+    for t, ev, _ in boards:
         if ev.kind == "erase":
             continue
         length += 1
         downloads += ev.kind == "axiom"
         if first_zero is None and ev.formula == zero:
-            first_zero = index + 1
+            first_zero = t
     measures = MeasureReport(
         length=length,
         axiom_downloads=downloads,
@@ -380,7 +380,7 @@ def replay(deriv: Derivation) -> ReplayLog:
         max_terms=None if deriv.k == 1 else config.max_terms,
         max_formula_size=None if deriv.k == 1 else config.max_size,
     )
-    return ReplayLog(deriv, measures, first_zero)
+    return ReplayLog(measures, first_zero)
 
 
 def check_refutation(formula: CnfFormula, deriv: Derivation) -> MeasureReport:

@@ -19,7 +19,7 @@ from .proofs import (
     Inference,
     SYNTACTIC,
     match_cut,
-    replay,
+    walk,
     zero_formula,
 )
 
@@ -55,7 +55,6 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
     when the last alias dies.
     """
     _require_resolution(deriv, allow_weakening=True)
-    log = replay(deriv)
     out = DerivationBuilder(deriv.formula, k=1)
     alias: dict[int, int] = {}
     refcount: dict[int, int] = {}
@@ -64,7 +63,7 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
         alias[input_id] = out_id
         refcount[out_id] = refcount.get(out_id, 0) + 1
 
-    for _, ev, _ in itertools.islice(log.walk(), 1, None):
+    for _, ev, _ in itertools.islice(walk(deriv), 1, None):
         if ev.kind == "axiom":
             adopt(ev.new_id, out.download(ev.formula.as_clause()))
         elif ev.kind == "erase":
@@ -98,14 +97,6 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
 # frugality
 
 
-def _resolution_log(deriv: Derivation):
-    _require_resolution(deriv, allow_weakening=False)
-    log = replay(deriv)
-    if not log.refuted:
-        raise NotARefutationError("derivation never reaches the empty clause")
-    return log
-
-
 def make_frugal(deriv: Derivation) -> Derivation:
     """Rebuild the refutation so that every configuration is essential.
 
@@ -115,12 +106,17 @@ def make_frugal(deriv: Derivation) -> Derivation:
     only if its clause is needed.  Forward emission inserts the inference
     and immediately erases the premises so noted.
     """
-    log = _resolution_log(deriv)
-    s = log.first_zero
+    _require_resolution(deriv, allow_weakening=False)
     zero = zero_formula(1)
+    events, reached = [], False
+    for _, ev, _ in itertools.islice(walk(deriv), 1, None):
+        if not reached:  # past the first zero the steps are only checked
+            events.append(ev)
+            reached = ev.formula == zero
+    if not reached:
+        raise NotARefutationError("derivation never reaches the empty clause")
     cur = {zero}
     ops_rev = []
-    events = [ev for _, ev, _ in itertools.islice(log.walk(), 1, s + 1)]
     for ev in reversed(events):
         if ev.kind == "axiom":
             if ev.formula in cur:
@@ -157,11 +153,15 @@ def make_frugal(deriv: Derivation) -> Derivation:
 def is_frugal(deriv: Derivation) -> bool:
     """Essential clauses by backward induction from the first empty-clause
     configuration, then the forward essential-configuration predicate."""
-    log = _resolution_log(deriv)
-    s = log.first_zero
-    _, events, boards = zip(*log.walk())  # events[t] leads to boards[t]
+    _require_resolution(deriv, allow_weakening=False)
+    walked = [(ev, board.values()) for _, ev, board in walk(deriv)]
+    events, boards = zip(*walked)  # events[t] leads to boards[t]
+    zero = zero_formula(1)
+    s = next((t for t, b in enumerate(boards) if zero in b), None)
+    if s is None:
+        raise NotARefutationError("derivation never reaches the empty clause")
     essential = [set() for _ in boards]
-    essential[s] = {zero_formula(1)}
+    essential[s] = {zero}
     for t in range(s, 0, -1):
         ev, here, below = events[t], essential[t], essential[t - 1]
         if ev.kind == "infer" and ev.formula in here:

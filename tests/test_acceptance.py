@@ -59,6 +59,7 @@ from resspace.proofs import (
     check_refutation,
     derive_implied_clause,
     replay,
+    walk,
     zero_formula,
 )
 from resspace.transforms import eliminate_weakening, is_frugal, make_frugal
@@ -309,7 +310,7 @@ def test_criterion_11_implied_clause_bounds():
             continue
         deriv = derive_implied_clause(premises, target)
         log = replay(deriv)
-        assert KDnfFormula.from_clause(target) in [b for _, _, b in log.walk()][-1]
+        assert KDnfFormula.from_clause(target) in [b.values() for _, _, b in walk(deriv)][-1]
         n = len(
             set().union(
                 *(set(c.variables()) for c in premises), set(target.variables())
@@ -416,12 +417,13 @@ def test_criterion_14_kdnf_checker():
     assert replay(refute_dnf_pair(d1, d2)).measures.length == len(d1) * len(d2)
 
     # the xor conjunction-introduction walkthrough at k=2
-    walk = derive_dnf_from_cnf(
+    ladder = derive_dnf_from_cnf(
         canonical_clauses(XOR2, True), dnf_representation(XOR2, 1, True), 2
     )
-    log = replay(walk)
-    assert dnf_representation(XOR2, 1, True) in set().union(*(b for _, _, b in log.walk()))
-    assert any(isinstance(s, Inference) and s.rule == "andi" for s in walk.steps)
+    assert dnf_representation(XOR2, 1, True) in set().union(
+        *(b.values() for _, _, b in walk(ladder))
+    )
+    assert any(isinstance(s, Inference) and s.rule == "andi" for s in ladder.steps)
 
     # the k-DNF pebbling compiler at k = d = 2; frozen space constant c = 10
     frozen_c = 10

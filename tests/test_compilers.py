@@ -24,7 +24,7 @@ from resspace.errors import InvalidPebblingError
 from resspace.graphs import make_graph, path_graph, pyramid_graph
 from resspace.logic import EMPTY_DNF, CnfFormula, KDnfFormula, Term, implies
 from resspace.pebbling import Move, trivial_black_pebbling
-from resspace.proofs import Inference, check_refutation, replay
+from resspace.proofs import Inference, check_refutation, replay, walk
 from reference import custom_function, minterm_dnf
 
 
@@ -198,11 +198,10 @@ def test_xor_walkthrough_ladder():
     # derive the xor DNF from the xor clause set using and-introductions
     f = xor_function(2)
     d = derive_dnf_from_cnf(canonical_clauses(f, True), dnf_representation(f, 1, True), 2)
-    log = replay(d)
     assert any(
         isinstance(s, Inference) and s.rule == "andi" for s in d.steps
     )
-    assert dnf_representation(f, 1, True) in set().union(*(b for _, _, b in log.walk()))
+    assert dnf_representation(f, 1, True) in set().union(*(b.values() for _, _, b in walk(d)))
 
 
 def test_xor3_walkthrough_ladder():
@@ -210,8 +209,9 @@ def test_xor3_walkthrough_ladder():
     d = derive_dnf_from_cnf(
         canonical_clauses(f, True), dnf_representation(f, 1, True), 3
     )
-    log = replay(d)
-    assert dnf_representation(f, 1, True).with_k(3) in set().union(*(b for _, _, b in log.walk()))
+    assert dnf_representation(f, 1, True).with_k(3) in set().union(
+        *(b.values() for _, _, b in walk(d))
+    )
 
 
 def test_refute_dnf_pair_lengths():

@@ -22,7 +22,7 @@ from resspace.projection import (
     shared_projector,
     translate_refutation,
 )
-from resspace.proofs import check_refutation, replay
+from resspace.proofs import check_refutation, replay, walk
 from resspace.transforms import eliminate_weakening, is_frugal, make_frugal
 from reference import minterm_dnf
 
@@ -140,6 +140,10 @@ def _pipeline(g, f, moves=None):
     return fm, deriv
 
 
+def _boards(deriv):
+    return [board.values() for _, _, board in walk(deriv)]
+
+
 def test_translate_projected_sequence_endpoints():
     g = pyramid_graph(1)
     fm, deriv = _pipeline(g, XOR2)
@@ -255,6 +259,27 @@ def test_extract_configuration_translation_rule():
     metrics = validate_pebbling(g, ex.moves)
     assert ex.moves[0] == Move("pw", 2)  # the negative-only sink goes white
     assert metrics.space <= ex.frugal_variable_space + 1
+
+
+@pytest.mark.parametrize(
+    "graph, fspec",
+    [("pyramid:1", "xor:2"), ("pyramid:2", "xor:2"), ("pyramid:2", "maj:3"),
+     ("path:2", "identity")],
+)
+def test_frugal_variable_space_is_the_frugal_replays(graph, fspec):
+    """Extraction reads the frugal proof's variable space off the boards it
+    walks; on the CLI pipeline's instances it is the variable space that
+    the frugal proof's replay measures."""
+    from resspace.cli import _parse_function, _parse_graph
+
+    g, f = _parse_graph(graph), _parse_function(fspec)
+    deriv = compile_pebbling(g, trivial_black_pebbling(g), f)
+    base_deriv = deriv
+    if f.name != "identity":
+        base_deriv = translate_refutation(deriv, pebbling_formula(g, f).base, f).derivation
+    frugal = make_frugal(eliminate_weakening(base_deriv))
+    ex = extract_pebbling(deriv, g, f)
+    assert ex.frugal_variable_space == replay(frugal).measures.variable_space
 
 
 def test_extract_requires_nonauthoritarian_for_space_bound():
@@ -613,7 +638,7 @@ def test_projection_matches_definition_on_compiled_configurations(
         configs = sorted(
             {
                 cfg
-                for _, _, cfg in replay(compiler(g, trivial_black_pebbling(g), f)).walk()
+                for cfg in _boards(compiler(g, trivial_black_pebbling(g), f))
                 if cfg and len(cfg) <= max_lines
             },
             key=lambda cfg: sorted(cfg),
@@ -695,7 +720,7 @@ def _count_projections(monkeypatch):
 def test_caps_raise_on_memo_and_cache_hits(monkeypatch, cap):
     shared_projector.cache_clear()
     fm, deriv = _pipeline(pyramid_graph(1), XOR2)
-    board = max((b for _, _, b in replay(deriv).walk()), key=len)
+    board = max(_boards(deriv), key=len)
     want = shared_projector(fm.base, XOR2).project_board(board)
     assert want == project(board, fm.base, XOR2)
     size = len(board) if cap == "PROJECT_SUBSET_FORMULAS" else len(fm.base.variables())
@@ -710,13 +735,13 @@ def test_caps_raise_on_memo_and_cache_hits(monkeypatch, cap):
 
 def test_base_cap_raises_before_replaying(monkeypatch):
     """The base-variable cap depends on no board, so an over-cap base is
-    rejected before the proof is replayed, with the projector's message."""
+    rejected before the proof is walked, with the projector's message."""
     from resspace import projection
 
-    def no_replay(deriv):
-        pytest.fail("replayed a proof over an over-cap base")
+    def no_walk(deriv):
+        pytest.fail("walked a proof over an over-cap base")
 
-    monkeypatch.setattr(projection, "replay", no_replay)
+    monkeypatch.setattr(projection, "walk", no_walk)
     shared_projector.cache_clear()
     g = pyramid_graph(4)  # 15 base variables, above the cap of 12
     fm = pebbling_formula(g, XOR2)
@@ -733,7 +758,7 @@ def test_base_cap_raises_before_replaying(monkeypatch):
 def test_a_call_that_raises_stores_nothing(monkeypatch):
     shared_projector.cache_clear()
     fm, deriv = _pipeline(pyramid_graph(1), XOR2)
-    board = max((b for _, _, b in replay(deriv).walk()), key=len)
+    board = max(_boards(deriv), key=len)
     calls = _count_projections(monkeypatch)
     monkeypatch.setenv("RESSPACE_UNSAFE_PROJECT_SUBSET_FORMULAS", str(len(board) - 1))
     with pytest.raises(CapExceededError):
@@ -765,7 +790,7 @@ def test_extract_then_audit_projects_each_board_once(monkeypatch):
     calls = _count_projections(monkeypatch)
     extract_pebbling(deriv, g, XOR2, require_space_bound=True)
     project_invariant_audit(deriv, fm.base, XOR2)
-    assert len(calls) == len({cfg for _, _, cfg in replay(deriv).walk() if cfg})
+    assert len(calls) == len({cfg for cfg in _boards(deriv) if cfg})
 
 
 @pytest.mark.parametrize(
@@ -793,7 +818,7 @@ def test_memoised_projections_are_exact(graph, f, k):
     assert through_the_cache() == cold  # every board a memo hit
     projector = shared_projector(fm.base, f)
     modes = ("subset", "whole_set") if deriv.k == 1 else ("whole_set",)
-    for _, _, cfg in replay(deriv).walk():
+    for cfg in _boards(deriv):
         for mode in modes:
             projector.project_board(cfg, mode=mode)
     memo = dict(projector._memo)
@@ -974,7 +999,7 @@ def test_projection_equals_the_reference_on_every_board(graph, fspec, pebbling, 
     compile_fn = compile_pebbling if k == 1 else compile_pebbling_rk
     base = pebbling_formula(g, f).base
     mode = "subset" if k == 1 else "whole_set"
-    boards = {cfg for _, _, cfg in replay(compile_fn(g, moves, f)).walk() if cfg}
+    boards = {cfg for cfg in _boards(compile_fn(g, moves, f)) if cfg}
     projector, reference = Projector(base, f), ReferenceProjector(base, f)
     nonempty = 0
     for cfg in boards:

@@ -34,6 +34,7 @@ from resspace.proofs import (
     match_andi,
     match_cut,
     replay,
+    walk,
     zero_formula,
 )
 from reference import derive_implied_clauses as reference_derive_implied_clauses, inline
@@ -43,8 +44,18 @@ def dnf(terms, k=1):
     return KDnfFormula([Term(t) for t in terms], k=k)
 
 
-def _boards(log):
-    return [board for _, _, board in log.walk()]
+def _boards(deriv):
+    return [board.values() for _, _, board in walk(deriv)]
+
+
+def _assert_inferences_implied(deriv):
+    """Walk the derivation: every inference it accepts is implied by the
+    board before it."""
+    before = None
+    for _, ev, board in walk(deriv):
+        if ev is not None and ev.kind == "infer":
+            assert implies(list(before), [ev.formula])
+        before = board.values()
 
 
 def test_resolution_cut_accepted():
@@ -79,8 +90,7 @@ def test_kcut_multiliteral():
         (Inference(cons, "cut", (1, 2)),),
         assumptions=(d1, d2),
     )
-    log = replay(deriv)
-    assert cons in _boards(log)[-1]
+    assert cons in _boards(deriv)[-1]
 
 
 def test_kcut_needs_all_negated_literals():
@@ -102,11 +112,7 @@ def test_syntactic_steps_also_semantically_sound():
     d = derive_implied_clause(
         [Clause([1, 2]), Clause([-1, 2]), Clause([-2])], Clause()
     )
-    walked = list(replay(d).walk())
-    for (_, _, before), (_, ev, _) in zip(walked, walked[1:]):
-        if ev.kind != "infer":
-            continue
-        assert implies(list(before), [ev.formula])
+    _assert_inferences_implied(d)
 
 
 def test_and_introduction():
@@ -126,8 +132,7 @@ def test_and_introduction():
             Inference(cons, "andi", (2, 4)),
         ),
     )
-    log = replay(deriv)
-    assert cons in _boards(log)[-1]
+    assert cons in _boards(deriv)[-1]
 
 
 def test_and_introduction_width_cap():
@@ -158,8 +163,7 @@ def test_and_elimination():
             Inference(dnf([[1]], k=2), "ande", (3,)),
         ),
     )
-    log = replay(deriv)
-    assert dnf([[1]], k=2) in _boards(log)[-1]
+    assert dnf([[1]], k=2) in _boards(deriv)[-1]
 
 
 def test_semantic_step_zero_from_contradiction():
@@ -295,7 +299,7 @@ def test_derive_present_clause():
     d = derive_implied_clause([Clause([1, 2])], Clause([1, 2]))
     log = replay(d)
     assert log.measures.length <= 3
-    assert KDnfFormula.from_clause(Clause([1, 2])) in _boards(log)[-1]
+    assert KDnfFormula.from_clause(Clause([1, 2])) in _boards(d)[-1]
 
 
 def test_derive_not_implied():
@@ -317,7 +321,7 @@ def test_derive_eq21_partial():
     target = Clause([3, -4])
     d = derive_implied_clause(premises, target)
     log = replay(d)
-    assert KDnfFormula.from_clause(target) in _boards(log)[-1]
+    assert KDnfFormula.from_clause(target) in _boards(d)[-1]
     n = 4
     assert log.measures.length <= (1 << (n + 1)) - 1
     assert log.measures.total_space <= n * (n + 2)
@@ -335,7 +339,7 @@ def test_derive_bounds_seeded():
             continue
         d = derive_implied_clause(premises, target)
         log = replay(d)
-        assert KDnfFormula.from_clause(target) in _boards(log)[-1]
+        assert KDnfFormula.from_clause(target) in _boards(d)[-1]
         n = len(
             set().union(*(set(c.variables()) for c in premises), set(target.variables()))
         )
@@ -538,15 +542,11 @@ def test_checker_mutation_soundness():
         steps[pos] = Inference(mutated_formula, step.rule, step.premises)
         mutant = Derivation(fm.cnf, 1, "syntactic", tuple(steps))
         try:
-            log = replay(mutant)
+            _assert_inferences_implied(mutant)  # accepted mutants stay sound
         except ResspaceError:
             rejected += 1
             continue
         accepted += 1
-        walked = list(log.walk())
-        for (_, _, before), (_, ev, _) in zip(walked, walked[1:]):  # accepted mutants stay sound
-            if ev.kind == "infer":
-                assert implies(list(before), [ev.formula])
     assert rejected > accepted
 
 
@@ -600,18 +600,21 @@ def _from_scratch(deriv):
 
 
 def _assert_matches_scratch(deriv):
+    """The replay's measures and the walk's boards and events against the
+    recount; returns the log and the boards."""
     log = replay(deriv)
     configs, events, measures, first_zero = _from_scratch(deriv)
     assert log.measures == measures
     assert log.first_zero == first_zero
-    walked = list(log.walk())
+    walked = [(t, ev, board.values()) for t, ev, board in walk(deriv)]
+    assert [t for t, _, _ in walked] == list(range(len(configs)))
     assert [board for _, _, board in walked] == configs
     assert walked[0][1] is None
     assert [
         (ev.kind, ev.new_id, ev.formula, ev.premises, ev.premise_values)
         for _, ev, _ in walked[1:]
     ] == events
-    return log
+    return log, [board for _, _, board in walked]
 
 
 @pytest.mark.parametrize(
@@ -637,7 +640,7 @@ def test_measures_match_scratch_on_compiled_refutations(graph, fspec, k):
     name, _, d = fspec.partition(":")
     f = function_by_name(name, int(d))
     compile_fn = compile_pebbling_rk if k == "d" else compile_pebbling
-    log = _assert_matches_scratch(compile_fn(dag, trivial_black_pebbling(dag), f))
+    log, _ = _assert_matches_scratch(compile_fn(dag, trivial_black_pebbling(dag), f))
     assert log.refuted
 
 
@@ -652,27 +655,27 @@ def test_measures_match_scratch_on_seeded_derivations():
         Erasure(2),
         Erasure(3),
     )
-    log = _assert_matches_scratch(
+    log, boards = _assert_matches_scratch(
         Derivation(CnfFormula([]), 2, "syntactic", steps, assumptions=(d1, d2))
     )
     assert log.measures.formula_space == 3 and log.first_zero is None
     # a consequence written at a smaller k joins the board at the derivation's k
-    log = _assert_matches_scratch(
+    log, boards = _assert_matches_scratch(
         Derivation(
             CnfFormula([]), 2, "syntactic", (Inference(dnf([[3], [4]]), "cut", (1, 2)),),
             assumptions=(d1, d2),
         )
     )
-    assert cut in _boards(log)[1]
+    assert cut in boards[1]
     # the seeded board is the peak when the steps only erase
-    log = _assert_matches_scratch(
+    log, boards = _assert_matches_scratch(
         Derivation(CnfFormula([]), 2, "syntactic", (Erasure(2), Erasure(1)), assumptions=(d1, d2))
     )
     assert (log.measures.formula_space, log.measures.total_space) == (2, 6)
     assert (log.measures.variable_space, log.measures.max_terms) == (4, 3)
     # seeded duplicates: one value, two ids
     unit = dnf([[1]])
-    log = _assert_matches_scratch(
+    log, boards = _assert_matches_scratch(
         Derivation(
             CnfFormula([[-1]]),
             1,
@@ -681,9 +684,9 @@ def test_measures_match_scratch_on_seeded_derivations():
             assumptions=(unit, unit),
         )
     )
-    assert unit in _boards(log)[1] and log.first_zero == 3
+    assert unit in boards[1] and log.first_zero == 3
     # a seeded zero is on the board before the first step
-    log = _assert_matches_scratch(
+    log, boards = _assert_matches_scratch(
         Derivation(
             CnfFormula([[1]]),
             1,
@@ -693,7 +696,7 @@ def test_measures_match_scratch_on_seeded_derivations():
         )
     )
     assert log.first_zero == 0 and log.refuted
-    assert zero_formula(1) not in _boards(log)[1]
+    assert zero_formula(1) not in boards[1]
 
 
 def test_measures_match_scratch_when_an_erased_value_has_a_twin():
@@ -711,8 +714,7 @@ def test_measures_match_scratch_when_an_erased_value_has_a_twin():
         AxiomDownload(Clause([-2])),  # 6
         Inference(zero_formula(1), "cut", (5, 6)),
     )
-    log = _assert_matches_scratch(Derivation(f, 1, "syntactic", steps))
-    boards = _boards(log)
+    log, boards = _assert_matches_scratch(Derivation(f, 1, "syntactic", steps))
     assert pair in boards[4] and pair not in boards[7]
     assert dnf([[2]]) in boards[8]
     assert boards[6] == {pair, dnf([[-1]]), dnf([[2]])}  # four live ids
@@ -813,7 +815,7 @@ def test_measures_match_scratch_on_drawn_derivations():
                 terms += [t for t in b.value(n).terms if t != Term([-x])]
                 b.infer("cut", [p, n], KDnfFormula(terms, k=k))
             twins |= len(set(b.live.values())) < len(b.live)
-        log = _assert_matches_scratch(b.build())
+        log, _ = _assert_matches_scratch(b.build())
         seen["refuting" if log.refuted else "not refuting"] += 1
         seen["twins"] += twins
 

@@ -8,7 +8,9 @@ string such as the benchmark's tracing targets.  The test is conservative:
 a local variable that shares a public name hides it.
 
 A second scan keeps the pairing of replay events with boards inside
-``proofs.py``: the other modules read boards through ``ReplayLog.walk``.
+``proofs.py``: the other modules read boards through ``proofs.walk``.  A
+third keeps that walk the one place where a step is checked and applied:
+no other module imports ``replay``, so no board reader reads a proof twice.
 """
 
 import ast
@@ -94,7 +96,7 @@ def _board_pairings(tree) -> list[str]:
 
 def test_only_proofs_pairs_steps_with_boards():
     """Which event leads to which board is known to ``proofs.py`` alone:
-    every other module reads the boards through ``ReplayLog.walk``."""
+    every other module reads the boards through ``proofs.walk``."""
     found = {
         path.name: hits
         for path in LIBRARY
@@ -102,3 +104,26 @@ def test_only_proofs_pairs_steps_with_boards():
         and (hits := _board_pairings(ast.parse(path.read_text())))
     }
     assert not found, f"boards paired with steps outside proofs.py: {found}"
+
+
+def test_one_walk_checks_and_applies_every_step():
+    """``proofs.walk`` alone calls the step checker and the applier, and
+    the modules that read boards walk them instead of importing ``replay``."""
+    callers = {}
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_check_step", "_apply")
+                ):
+                    callers.setdefault(node.func.id, []).append(
+                        f"{path.name}:{getattr(stmt, 'name', '?')}"
+                    )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "proofs":
+                names = {alias.name for alias in node.names}
+                assert "replay" not in names, f"{path.name} imports replay"
+    assert callers == {"_check_step": ["proofs.py:walk"], "_apply": ["proofs.py:walk"]}
