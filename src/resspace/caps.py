@@ -1,11 +1,15 @@
 """Resource caps for the brute-force oracles and exhaustive searches.
 
-Every cap can be raised through an environment variable carrying an
-explicit UNSAFE marker, e.g. ``RESSPACE_UNSAFE_IMPLIES_VARS=28``.
-Exceeding a cap is always a hard error, never a silent approximation.
+Every cap below can be raised through an environment variable carrying an
+explicit UNSAFE marker, e.g. ``RESSPACE_UNSAFE_IMPLIES_VARS=28``.  The
+value must be a non-negative integer; any other value is an
+``InvalidParamError``.  Exceeding a cap is always a hard error, never a
+silent approximation.
 """
 
 import os
+
+from .errors import InvalidParamError
 
 _ENV_PREFIX = "RESSPACE_UNSAFE_"
 
@@ -44,4 +48,8 @@ def get_cap(name):
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
         return _DEFAULTS[name]
+    if not raw.strip().isdecimal():
+        raise InvalidParamError(
+            f"{_ENV_PREFIX}{name}={raw!r} is not a non-negative integer"
+        )
     return int(raw)

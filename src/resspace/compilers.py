@@ -212,19 +212,17 @@ class _BlockScope:
         terms = [Term([l]) for l in block_clause.lits]
         return KDnfFormula(terms + list(self.ctx), k=self.builder.k)
 
-    def _emit(self, c: Clause):
+    def _emit(self, c: Clause) -> int:
         recipe = self.closure[c]
         if recipe[0] == "axiom":
-            return self.group[c], True
+            return self.builder.hold(self.group[c])
         _, a, b, pivot = recipe
-        ia, ba = self._emit(a)
-        ib, bb = self._emit(b)
+        ia = self._emit(a)
+        ib = self._emit(b)
         out = self.builder.infer("cut", [ia, ib], self.line_formula(c))
-        if not ba:
-            self.builder.erase(ia)
-        if not bb:
-            self.builder.erase(ib)
-        return out, False
+        self.builder.erase(ia)
+        self.builder.erase(ib)
+        return out
 
     def derive(self, want: Clause) -> int:
         """A line for want-or-context, via the smallest reachable subclause
@@ -238,12 +236,13 @@ class _BlockScope:
             raise NotImpliedError(
                 f"block clauses cannot reach any subclause of {want.lits}"
             )
-        line, borrowed = self._emit(best)
-        if best == want and not borrowed:
+        line = self._emit(best)
+        if best == want and best not in self.group:
             return line
+        # a group clause is copied by the weakening even when it is the want
+        # itself; the pinned compile outputs keep that step
         out = self.builder.infer("weak", [line], self.line_formula(want))
-        if not borrowed:
-            self.builder.erase(line)
+        self.builder.erase(line)
         return out
 
 
@@ -294,7 +293,9 @@ def derive_substituted_line(builder, axiom_clause: Clause, f: BooleanFunction,
     Blocks are handled one at a time: for every fixed choice of clauses in
     the later blocks, the current block's clause set (with that context) is
     replaced by the block's DNF via a pick-clause ladder; the next stage
-    groups the resulting lines by the remaining choices.
+    groups the resulting lines by the remaining choices.  Every entry holds
+    its line, the first stage's a binding, and is erased once its block is
+    replaced.
     """
     lits = axiom_clause.lits
     cl_sets = [tuple(literal_substitution(a, f)) for a in lits]
@@ -303,7 +304,7 @@ def derive_substituted_line(builder, axiom_clause: Clause, f: BooleanFunction,
     lines = {}
     for choice in itertools.product(*cl_sets):
         whole = Clause([l for c in choice for l in c.lits])
-        lines[choice] = (bindings[whole], True)
+        lines[choice] = builder.hold(bindings[whole])
 
     for j in range(len(lits)):
         grouped = {}
@@ -313,14 +314,12 @@ def derive_substituted_line(builder, axiom_clause: Clause, f: BooleanFunction,
         for suffix, members in grouped.items():
             ctx = [t for rep in reps[:j] for t in rep.terms]
             ctx += [Term([l]) for c in suffix for l in c.lits]
-            scope = _BlockScope(builder, {c: e[0] for c, e in members.items()}, ctx)
-            line = _dnf_ladder(scope, reps[j].terms)
-            for c, (i, is_borrowed) in members.items():
-                if not is_borrowed:
-                    builder.erase(i)
-            new_lines[suffix] = (line, False)
+            scope = _BlockScope(builder, members, ctx)
+            new_lines[suffix] = _dnf_ladder(scope, reps[j].terms)
+            for i in members.values():
+                builder.erase(i)
         lines = new_lines
-    (line, _), = lines.values()
+    (line,) = lines.values()
     return line
 
 
@@ -345,12 +344,11 @@ def derive_dnf_from_cnf(clauses: CnfFormula, dnf: KDnfFormula, k: int) -> Deriva
 def _clause_line_from_helper(builder, helper_id: int, t_remove: Term):
     """Shrink every term of the helper line to a single literal negating a
     literal of ``t_remove`` (conjunction elimination), then widen to the
-    exact negated clause; returns (line id, whether the helper was reused
-    unchanged)."""
-    cur_id = helper_id
+    exact negated clause; returns the id of a line the caller holds: the
+    helper itself, held once more, when it is that clause already."""
+    cur_id = builder.hold(helper_id)
     cur_val = builder.value(cur_id)
-    borrowed = True
-    for t2 in list(builder.value(helper_id).terms):
+    for t2 in list(cur_val.terms):
         hit = next((b for b in t2.lits if -b in t_remove.lits), None)
         assert hit is not None, "pair is not contradictory"
         if t2 == Term([hit]):
@@ -359,32 +357,30 @@ def _clause_line_from_helper(builder, helper_id: int, t_remove: Term):
             [t for t in cur_val.terms if t != t2] + [Term([hit])], k=builder.k
         )
         new_id = builder.infer("ande", [cur_id], new_val)
-        if not borrowed:
-            builder.erase(cur_id)
-        cur_id, cur_val, borrowed = new_id, new_val, False
+        builder.erase(cur_id)
+        cur_id, cur_val = new_id, new_val
     want = KDnfFormula([Term([-a]) for a in t_remove.lits], k=builder.k)
     if cur_val != want:
         new_id = builder.infer("weak", [cur_id], want)
-        if not borrowed:
-            builder.erase(cur_id)
-        cur_id, borrowed = new_id, False
-    return cur_id, borrowed
+        builder.erase(cur_id)
+        cur_id = new_id
+    return cur_id
 
 
 def cut_away_terms(builder, target_id: int, terms, helper_id: int) -> int:
     """Remove the given terms from the target line one at a time, each via
     a negated-term clause distilled from the helper line; consumes the
-    target line and returns the remainder's id."""
+    target line, leaves the helper line to its holder, and returns the
+    remainder's id."""
     cur = target_id
     for t in terms:
-        neg_id, borrowed = _clause_line_from_helper(builder, helper_id, t)
+        neg_id = _clause_line_from_helper(builder, helper_id, t)
         remainder = KDnfFormula(
             [u for u in builder.value(cur).terms if u != t], k=builder.k
         )
         new = builder.infer("cut", [cur, neg_id], remainder)
         builder.erase(cur)
-        if not borrowed:
-            builder.erase(neg_id)
+        builder.erase(neg_id)
         cur = new
     return cur
 

@@ -311,19 +311,18 @@ def translate_refutation(
         )
         if sub is None:
             return None
-        if sub == c:
-            return board[c]
         return out.infer_clause("weak", [board[sub]], c)
 
     def derive_on_download(c: Clause, axiom: Clause, axiom_id: int):
         """The weaken-then-resolve schedule for a clause first projected on
-        an axiom download."""
+        an axiom download; a line it reuses, the axiom's or the board's, is
+        held."""
         outside = [a for a in axiom.lits if a not in c.lits]
         for a in outside:
             assert -a not in c.lits, "axiom and projected clause clash"
         if not outside:
             if c == axiom:
-                return axiom_id
+                return out.hold(axiom_id)
             return out.infer_clause("weak", [axiom_id], c)
         cur_clause = Clause(c.lits + tuple(outside))
         cur_id = out.infer_clause("weak", [axiom_id], cur_clause)
@@ -339,17 +338,16 @@ def translate_refutation(
             assert helper is not None, "projection lost a side clause"
             want = Clause(c.lits + (-a,))
             if helper == want:
-                side, borrowed = board[helper], True
+                side = out.hold(board[helper])
             else:
-                side, borrowed = out.infer_clause("weak", [board[helper]], want), False
+                side = out.infer_clause("weak", [board[helper]], want)
             next_clause = Clause(
                 [l for l in cur_clause.lits if l != a]
                 + [l for l in want.lits if l != -a]
             )
             nid = out.infer_clause("cut", [cur_id, side], next_clause)
             out.erase(cur_id)
-            if not borrowed:
-                out.erase(side)
+            out.erase(side)
             cur_id, cur_clause = nid, next_clause
         assert cur_clause == c, "resolve schedule missed the projected clause"
         return cur_id
@@ -372,7 +370,6 @@ def translate_refutation(
         else:
             assert not removed, "projection shrank on a download or inference"
             axiom_id = None
-            keep_axiom = False
             axiom = axmap.get(ev.formula.as_clause()) if ev.kind == "axiom" else None
             for c in added:
                 line = weaken_from_board(c)
@@ -381,10 +378,8 @@ def translate_refutation(
                     if axiom_id is None:
                         axiom_id = out.download(axiom)
                     line = derive_on_download(c, axiom, axiom_id)
-                    if line == axiom_id:
-                        keep_axiom = True
-                board[c] = line
-            if axiom_id is not None and not keep_axiom:
+                board[c] = line  # a board entry holds its line
+            if axiom_id is not None:
                 out.erase(axiom_id)
         prev = cur
     if not refuted:
@@ -457,7 +452,6 @@ def extract_pebbling(
             moves.append(Move("rw", v))
         black, white = set(new_black), set(new_white)
 
-    frugal_variable_space = 0
     for t, ev, board in walk(frugal):
         if not t:
             continue
@@ -468,7 +462,6 @@ def extract_pebbling(
                 for l in term.lits:
                     (pos if l > 0 else neg).add(abs(l))
         variables = pos | neg
-        frugal_variable_space = max(frugal_variable_space, len(variables))
         new_black = (variables & black) | pos
         new_white = variables - new_black
         if z_locked:
@@ -486,7 +479,7 @@ def extract_pebbling(
         moves=tuple(moves),
         time=metrics.time,
         space=metrics.space,
-        frugal_variable_space=frugal_variable_space,
+        frugal_variable_space=board.peak_variables,
     )
 
 
@@ -531,7 +524,6 @@ def project_invariant_audit(
             continue
         audited += 1
         proj_vars = set().union(*(set(c.variables()) for c in projected), set())
-        cfg_vars = set().union(*(set(v.variables()) for v in cfg), set())
         if deriv.k == 1:
             if not len(cfg) > len(proj_vars):
                 violations.append((t, "line count not above projected variables"))
@@ -542,7 +534,7 @@ def project_invariant_audit(
             if len(proj_vars) > bound:
                 violations.append((t, "projected variables exceed the size bound"))
         for x in sorted(proj_vars):
-            if not set(varmap.block(x)) & cfg_vars:
+            if not any(v in board.var_refs for v in varmap.block(x)):
                 violations.append((t, f"no block variable of {x} on the board"))
     return AuditReport(
         configurations=configurations, audited=audited, violations=tuple(violations)

@@ -402,7 +402,11 @@ class DerivationBuilder:
     syntactic derivations.
 
     The builder tracks live line values alongside ids, so that callers can
-    read a line back and derive from lines already on the board.
+    read a line back and derive from lines already on the board.  It also
+    owns every line's lifetime: a new line has one holder, ``hold`` adds
+    one, and ``erase`` removes one and writes the erasure step only when
+    the last holder lets go.  A writer that reuses a line it did not make
+    holds it and erases it when done, and never asks who else owns it.
     """
 
     def __init__(self, formula: CnfFormula, k: int = 1):
@@ -410,12 +414,14 @@ class DerivationBuilder:
         self.k = k
         self.steps = []
         self.live: dict[int, KDnfFormula] = {}
+        self.holds: dict[int, int] = {}
         self._next = 1
 
     def _new_id(self, value) -> int:
         i = self._next
         self._next += 1
         self.live[i] = value
+        self.holds[i] = 1
         return i
 
     def download(self, clause: Clause) -> int:
@@ -431,9 +437,15 @@ class DerivationBuilder:
     def infer_clause(self, rule: str, premises, clause: Clause) -> int:
         return self.infer(rule, premises, KDnfFormula.from_clause(clause, k=self.k))
 
+    def hold(self, line_id: int) -> int:
+        self.holds[line_id] += 1
+        return line_id
+
     def erase(self, line_id: int):
-        self.steps.append(Erasure(line_id))
-        del self.live[line_id]
+        self.holds[line_id] -= 1
+        if not self.holds[line_id]:
+            del self.holds[line_id], self.live[line_id]
+            self.steps.append(Erasure(line_id))
 
     def value(self, line_id: int) -> KDnfFormula:
         return self.live[line_id]
@@ -455,9 +467,9 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
     appended to the builder in turn; returns the targets' line ids.
 
     One implication sweep checks every target.  A premise in ``bound`` is
-    read from its line already on the board (clause -> id) and is never
-    erased; the others are downloaded at each leaf that uses them and
-    erased after use.
+    read from its line already on the board (clause -> id), held while used
+    and so left on the board; the others are downloaded at each leaf that
+    uses them and erased after use.
 
     Each derivation follows a decision tree over the premises restricted by
     the target's negation (for the empty target, the empty restriction).
@@ -474,14 +486,11 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
         raise NotImpliedError(
             f"premises do not imply {' and '.join(str(t.lits) for t in targets)}"
         )
-    borrowed = set(bound.values())
 
     def fetch(clause: Clause) -> int:
-        return bound[clause] if clause in bound else builder.download(clause)
-
-    def release(line_id: int):
-        if line_id not in borrowed:
-            builder.erase(line_id)
+        if clause in bound:
+            return builder.hold(bound[clause])
+        return builder.download(clause)
 
     def derive(target: Clause) -> int:
         rho0 = negating_restriction(target)
@@ -503,7 +512,7 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
                     if lifted == orig:
                         return a, lifted
                     w = builder.infer_clause("weak", [a], lifted)
-                    release(a)
+                    builder.erase(a)
                     return w, lifted
             x = variables[depth]
             lid, lc = grow(rho | {-x}, depth + 1)
@@ -511,14 +520,14 @@ def derive_implied_clauses(builder: DerivationBuilder, premises: CnfFormula, tar
                 return lid, lc
             rid, rc_ = grow(rho | {x}, depth + 1)
             if -x not in rc_:
-                release(lid)
+                builder.erase(lid)
                 return rid, rc_
             resolvent = Clause(
                 [l for l in lc.lits if l != x] + [l for l in rc_.lits if l != -x]
             )
             out = builder.infer_clause("cut", [lid, rid], resolvent)
-            release(lid)
-            release(rid)
+            builder.erase(lid)
+            builder.erase(rid)
             return out, resolvent
 
         root_id, root_clause = grow(set(), 0)

@@ -51,28 +51,19 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
     Forward induction: every input line maps to a live output line holding
     a subclause of it.  Weakenings alias their premise's line; resolutions
     whose strengthened premise lost the pivot alias that premise instead of
-    resolving.  Output lines are reference-counted so an erasure fires only
-    when the last alias dies.
+    resolving.  An alias holds its output line, so the line is erased when
+    the last input line mapped to it is.
     """
     _require_resolution(deriv, allow_weakening=True)
     out = DerivationBuilder(deriv.formula, k=1)
     alias: dict[int, int] = {}
-    refcount: dict[int, int] = {}
-
-    def adopt(input_id, out_id):
-        alias[input_id] = out_id
-        refcount[out_id] = refcount.get(out_id, 0) + 1
-
     for _, ev, _ in itertools.islice(walk(deriv), 1, None):
         if ev.kind == "axiom":
-            adopt(ev.new_id, out.download(ev.formula.as_clause()))
+            alias[ev.new_id] = out.download(ev.formula.as_clause())
         elif ev.kind == "erase":
-            o = alias[ev.new_id]
-            refcount[o] -= 1
-            if refcount[o] == 0:
-                out.erase(o)
+            out.erase(alias.pop(ev.new_id))
         elif ev.rule == "weak":
-            adopt(ev.new_id, alias[ev.premises[0]])
+            alias[ev.new_id] = out.hold(alias[ev.premises[0]])
         else:  # cut: on clauses match_cut is symmetric and finds a unit term
             pos_in, neg_in = ev.premises
             x = match_cut(*ev.premise_values, ev.formula).lits[0]
@@ -82,14 +73,11 @@ def eliminate_weakening(deriv: Derivation) -> Derivation:
                 resolvent = Clause(
                     [l for l in a.lits if l != x] + [l for l in b.lits if l != -x]
                 )
-                adopt(
-                    ev.new_id,
-                    out.infer_clause("cut", [alias[pos_in], alias[neg_in]], resolvent),
+                alias[ev.new_id] = out.infer_clause(
+                    "cut", [alias[pos_in], alias[neg_in]], resolvent
                 )
-            elif x not in a:
-                adopt(ev.new_id, alias[pos_in])
-            else:
-                adopt(ev.new_id, alias[neg_in])
+            else:  # a premise lost the pivot and subsumes the resolvent
+                alias[ev.new_id] = out.hold(alias[pos_in if x not in a else neg_in])
     return out.build()
 
 

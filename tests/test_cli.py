@@ -301,6 +301,23 @@ def test_cap_exit_code():
     assert run(["pebble", "--graph", "path:30", "--mode", "black"]) == 3
 
 
+@pytest.mark.parametrize(
+    "cap, raw, argv",
+    [
+        ("BLACK_SEARCH_VERTICES", "abc", ["pebble", "--graph", "path:3"]),
+        ("IMPLIES_VARS", "2.5", ["selftest"]),
+    ],
+)
+def test_malformed_cap_override_is_a_usage_error(monkeypatch, capsys, cap, raw, argv):
+    monkeypatch.setenv("RESSPACE_UNSAFE_" + cap, raw)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error [INVALID_PARAM]: RESSPACE_UNSAFE_{cap}={raw!r} "
+        "is not a non-negative integer\n"
+    )
+
+
 def test_minunsat_cover_output_limit_exits_3(monkeypatch, capsys):
     # the ENUM_COVERS cap, lowered so a tiny enumeration hits it
     monkeypatch.setenv("RESSPACE_UNSAFE_ENUM_COVERS", "5")

@@ -68,6 +68,20 @@ def test_resolution_cut_accepted():
     assert log.measures.length == 3
 
 
+def test_builder_erases_a_held_line_when_its_last_holder_lets_go():
+    f = CnfFormula([[1, 2]])
+    b = DerivationBuilder(f, k=1)
+    a = b.download(Clause([1, 2]))
+    assert b.hold(a) == a
+    b.erase(a)
+    assert b.steps == [AxiomDownload(Clause([1, 2]))]
+    assert b.clause_value(a) == Clause([1, 2])
+    b.erase(a)
+    assert b.steps == [AxiomDownload(Clause([1, 2])), Erasure(a)]
+    with pytest.raises(KeyError):
+        b.value(a)
+
+
 def test_cut_rejects_wrong_consequence():
     f = CnfFormula([[1, 2], [-1, 3]])
     b = DerivationBuilder(f, k=1)

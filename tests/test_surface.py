@@ -11,6 +11,8 @@ A second scan keeps the pairing of replay events with boards inside
 ``proofs.py``: the other modules read boards through ``proofs.walk``.  A
 third keeps that walk the one place where a step is checked and applied:
 no other module imports ``replay``, so no board reader reads a proof twice.
+A fourth keeps the derivation builder the one owner of line lifetimes: no
+other module reads its holder counts or its live lines.
 """
 
 import ast
@@ -84,26 +86,38 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not stale, f"allowlist entries that are gone or have a caller: {stale}"
 
 
-def _board_pairings(tree) -> list[str]:
-    """Reads of a ``configs`` or an ``events`` attribute: a replay keeps
-    neither boards nor events, so such a read is a second record of them."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("configs", "events"):
-            out.append(f"line {node.lineno}: .{node.attr}")
-    return out
+def _reads_outside_proofs(attrs) -> dict[str, list[str]]:
+    """Per library module other than ``proofs.py``, its reads of the given
+    attributes."""
+    found = {}
+    for path in LIBRARY:
+        if path.name == "proofs.py":
+            continue
+        hits = [
+            f"line {node.lineno}: .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in attrs
+        ]
+        if hits:
+            found[path.name] = hits
+    return found
 
 
 def test_only_proofs_pairs_steps_with_boards():
     """Which event leads to which board is known to ``proofs.py`` alone:
-    every other module reads the boards through ``proofs.walk``."""
-    found = {
-        path.name: hits
-        for path in LIBRARY
-        if path.name != "proofs.py"
-        and (hits := _board_pairings(ast.parse(path.read_text())))
-    }
+    every other module reads the boards through ``proofs.walk``.  A replay
+    keeps neither boards nor events, so a read of a ``configs`` or an
+    ``events`` attribute is a second record of them."""
+    found = _reads_outside_proofs(("configs", "events"))
     assert not found, f"boards paired with steps outside proofs.py: {found}"
+
+
+def test_only_the_builder_owns_line_lifetimes():
+    """A builder line's holders are counted by ``DerivationBuilder`` alone:
+    the other modules hold and erase lines and read values through its
+    methods, never through its ``holds`` or ``live`` tables."""
+    found = _reads_outside_proofs(("holds", "live"))
+    assert not found, f"builder tables read outside proofs.py: {found}"
 
 
 def test_one_walk_checks_and_applies_every_step():
